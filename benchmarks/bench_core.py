@@ -12,7 +12,7 @@ import pytest
 from repro import build_machine, get_trace, system_config
 from repro.coherence.cache import SetAssocCache
 from repro.params import CacheGeometry
-from repro.sim.batch import ENGINES, make_simulator
+from repro.sim.simulator import Simulator
 from repro.trace.record import Trace, TraceSpec
 from repro.trace.synthetic import generate_trace
 
@@ -41,37 +41,27 @@ def test_cache_insert_evict(benchmark):
     benchmark(churn)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("system", ["base", "vb", "vpp5"])
-def test_step_throughput(benchmark, system, engine):
-    """Whole-engine throughput: references simulated per benchmark round.
-
-    Parametrised over both execution engines.  On this mixed workload the
-    batch engine is *not* expected to beat the interpreter — the barnes
-    trace is ~64% L1-read-hit, so protocol misses dominate both engines
-    (see docs/PERFORMANCE.md) — but each engine is floored independently
-    so neither can silently regress.
-    """
+def test_step_throughput(benchmark, system):
+    """Whole-simulator throughput: references simulated per benchmark round."""
     trace = get_trace("barnes", refs=40_000)
     config = system_config(system)
 
     def run_once():
         machine = build_machine(config, dataset_bytes=trace.dataset_bytes)
-        make_simulator(engine, machine).run(trace)
+        Simulator(machine).run(trace)
 
     benchmark.pedantic(run_once, rounds=3, iterations=1)
     benchmark.extra_info["refs_per_sec"] = len(trace) / benchmark.stats.stats.min
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_step_throughput_profiled(benchmark, engine):
-    """Whole-engine throughput with the stall profiler attached.
+def test_step_throughput_profiled(benchmark):
+    """Whole-simulator throughput with the stall profiler attached.
 
     Tracked against its own baseline floor so a regression in the
     profiler's miss-path hooks (e.g. work leaking onto the read-hit fast
     path, or per-event allocation in the window tallies) fails the bench
-    gate even though profiling is off by default.  Runs on both engines:
-    the profiler hooks the same per-reference miss path either way.
+    gate even though profiling is off by default.
     """
     from repro.obs.profile import StallProfiler
 
@@ -81,30 +71,22 @@ def test_step_throughput_profiled(benchmark, engine):
     def run_once():
         machine = build_machine(config, dataset_bytes=trace.dataset_bytes)
         profiler = StallProfiler(config)
-        make_simulator(engine, machine, profiler=profiler).run(trace)
+        Simulator(machine, profiler=profiler).run(trace)
         profiler.finish(len(trace))
 
     benchmark.pedantic(run_once, rounds=3, iterations=1)
     benchmark.extra_info["refs_per_sec"] = len(trace) / benchmark.stats.stats.min
 
 
-#: conservative per-engine floors for the L1 read-hit fast path.  The
-#: interpreter's inlined loop clears 400k refs/s by a wide margin even on
-#: loaded CI machines; the batch engine's vectorised tag-compare path must
-#: additionally prove the >=5x speedup the engine exists for.
+#: conservative floor for the L1 read-hit fast path: the inlined loop
+#: clears 400k refs/s by a wide margin even on loaded CI machines
 FAST_PATH_FLOOR_REFS_PER_SEC = 400_000.0
-ENGINE_FAST_PATH_FLOORS = {
-    "interp": FAST_PATH_FLOOR_REFS_PER_SEC,
-    "batch": 5 * FAST_PATH_FLOOR_REFS_PER_SEC,
-}
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_run_read_hit_fast_path(benchmark, engine):
+def test_run_read_hit_fast_path(benchmark):
     """The hot path in isolation: one processor re-reading an L1-resident
     footprint, so every reference after the first pass is an inlined
-    read hit (interp) or a whole-batch vector commit (batch).  Records
-    refs/sec and asserts the per-engine optimisation floor."""
+    read hit.  Records refs/sec and asserts the optimisation floor."""
     refs = 200_000
     n_blocks = 128  # 4 KB footprint: fits any configured L1
     config = system_config("base")
@@ -120,15 +102,14 @@ def test_run_read_hit_fast_path(benchmark, engine):
 
     def run_once():
         machine = build_machine(config, dataset_bytes=trace.dataset_bytes)
-        make_simulator(engine, machine).run(trace)
+        Simulator(machine).run(trace)
 
     benchmark.pedantic(run_once, rounds=3, iterations=1)
     refs_per_sec = refs / benchmark.stats.stats.min
     benchmark.extra_info["refs_per_sec"] = refs_per_sec
-    floor = ENGINE_FAST_PATH_FLOORS[engine]
-    assert refs_per_sec >= floor, (
-        f"read-hit fast path ({engine}) regressed: {refs_per_sec:,.0f} refs/s "
-        f"is below the {floor:,.0f} floor"
+    assert refs_per_sec >= FAST_PATH_FLOOR_REFS_PER_SEC, (
+        f"read-hit fast path regressed: {refs_per_sec:,.0f} refs/s is below "
+        f"the {FAST_PATH_FLOOR_REFS_PER_SEC:,.0f} floor"
     )
 
 

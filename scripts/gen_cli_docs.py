@@ -42,8 +42,6 @@ def _env_rows():
     return [
         ("REPRO_JOBS", "`repro sweep`, `repro report`",
          "default worker-process count for sweeps"),
-        ("REPRO_ENGINE", "all simulation paths",
-         "default execution backend: `interp` or `batch`"),
         ("REPRO_TRACE_CACHE", "`repro.trace.io`",
          "on-disk trace cache directory (shared across processes)"),
         (MANIFEST_ENV, "`repro.obs.manifest`",

@@ -235,7 +235,7 @@ class _Divergence(Exception):
 def case_trace(case: FuzzCase):
     """The case's event stream as a :class:`~repro.trace.record.Trace`.
 
-    Whole-trace engines (the batch backend) consume traces, not step
+    For replaying a case through ``Simulator.run`` instead of step
     calls; block ids become byte addresses exactly as :func:`run_case`
     feeds them to ``sim.step`` (``block << block_bits``).
     """
@@ -254,46 +254,6 @@ def case_trace(case: FuzzCase):
         writes,
         dataset,
     )
-
-
-def run_case_batch(case: FuzzCase) -> Optional[Tuple[str, str]]:
-    """Replay one case through the batch engine against the interpreter.
-
-    The batch engine has no per-step lockstep (it classifies whole
-    chunks), so the comparison is whole-trace: event counters and the
-    complete final machine state must match the interpreter exactly, and
-    the machine must pass the structural validator.  Returns ``None`` on
-    success, else ``(error_class_name, message)`` — the same shrink
-    signature :func:`run_case` produces, so failing batch replays shrink
-    with the existing ddmin pass.
-    """
-    from ..sim.batch import BatchSimulator
-
-    config, dataset = tiny_check_config(case.system, n_blocks=case.n_blocks)
-    trace = case_trace(case)
-    try:
-        sim = Simulator(build_machine(config, dataset_bytes=dataset))
-        sim.run(trace)
-        batch = BatchSimulator(build_machine(config, dataset_bytes=dataset))
-        batch.run(trace)
-        a = sim.counters.as_dict()
-        b = batch.counters.as_dict()
-        if a != b:
-            diffs = [f"{k}: interp={a[k]} batch={b[k]}" for k in a if a[k] != b[k]]
-            raise _Divergence("batch counters diverged: " + "; ".join(diffs))
-        batch.counters.check()
-        check_machine(batch.machine)
-        sim_state = machine_snapshot(sim.machine)
-        batch_state = machine_snapshot(batch.machine)
-        for key in sim_state:
-            if sim_state[key] != batch_state[key]:
-                raise _Divergence(
-                    f"batch final state differs in {key!r}: "
-                    f"interp={sim_state[key]!r} batch={batch_state[key]!r}"
-                )
-    except (ReproError, AssertionError, _Divergence) as exc:
-        return type(exc).__name__, str(exc)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1326,15 +1326,12 @@ def diff_cell(
     scale: float = 0.03125,
     config: Optional[SystemConfig] = None,
 ) -> Dict[str, int]:
-    """Diff all three engines — interpreter, batch, oracle — on one cell.
+    """Diff the simulator against the oracle on one cell.
 
-    Runs each over the identical generated trace, compares all event
+    Runs both over the identical generated trace, compares all event
     counters and the complete final machine state; raises
     :class:`OracleDivergenceError` (localised to the first diverging
-    reference) on any mismatch.  The batch engine
-    (:class:`repro.sim.batch.BatchSimulator`) is held to the same
-    standard as the interpreter: counter-for-counter and final-machine-
-    state equality.  Returns the agreed counters on success.
+    reference) on any mismatch.  Returns the agreed counters on success.
     """
     from ..sim.runner import get_trace
     from ..system.builder import system_config
@@ -1384,37 +1381,6 @@ def diff_cell(
                 benchmark,
                 f"final machine state differs in {key!r}: "
                 f"simulator={sim_state[key]!r} oracle={oracle_state[key]!r}",
-            )
-
-    # third engine: the vectorised batch backend over a fresh machine
-    from ..sim.batch import BatchSimulator
-
-    batch_machine = build_machine(config, dataset_bytes=trace.dataset_bytes)
-    batch = BatchSimulator(batch_machine)
-    try:
-        batch.run(trace)
-        batch.counters.check()
-    except (ProtocolError, AssertionError) as exc:
-        raise OracleDivergenceError(
-            system, benchmark, f"batch engine failed: {exc}"
-        ) from exc
-    a = batch.counters.as_dict()
-    b = sim.counters.as_dict()
-    diffs = [f"{k}: batch={a[k]} interp={b[k]}" for k in a if a[k] != b[k]]
-    if diffs:
-        raise OracleDivergenceError(
-            system,
-            benchmark,
-            "batch engine counter mismatch vs interpreter: " + "; ".join(diffs),
-        )
-    batch_state = machine_snapshot(batch_machine)
-    for key in sim_state:
-        if batch_state[key] != sim_state[key]:
-            raise OracleDivergenceError(
-                system,
-                benchmark,
-                f"batch engine final machine state differs in {key!r}: "
-                f"batch={batch_state[key]!r} interp={sim_state[key]!r}",
             )
     return sim.counters.as_dict()
 

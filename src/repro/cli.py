@@ -63,7 +63,7 @@ from .analysis.report import format_grid
 from .errors import ReproError
 from .experiments import ALL_EXPERIMENTS
 from .params import BusProtocol, ThresholdPolicy
-from .sim.parallel import default_jobs, throughput_report, timed_sweep
+from .sim.parallel import default_jobs, perf_json, throughput_report, timed_sweep
 from .sim.runner import (
     DEFAULT_REFS,
     DEFAULT_SCALE,
@@ -94,10 +94,6 @@ def _add_sim_options(p: argparse.ArgumentParser) -> None:
                    help="enable the dirty-shared O state (Sec. 3.2 ablation)")
     p.add_argument("--decrement-on-invalidation", action="store_true",
                    help="enable the Sec. 3.4 counter-decrement refinement")
-    p.add_argument("--engine", choices=("interp", "batch"), default=None,
-                   help="execution backend (default: REPRO_ENGINE or interp); "
-                        "'batch' is the vectorised engine, bit-identical to "
-                        "the interpreter")
 
 
 def _sim_kwargs(args: argparse.Namespace) -> dict:
@@ -120,8 +116,7 @@ def _sim_kwargs(args: argparse.Namespace) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     result = simulate(
         args.system, args.benchmark, refs=args.refs, seed=args.seed,
-        scale=args.scale, profile=args.profile, engine=args.engine,
-        **_sim_kwargs(args),
+        scale=args.scale, profile=args.profile, **_sim_kwargs(args),
     )
     print(f"{result.system} / {result.benchmark}  "
           f"({result.refs} refs, {result.elapsed_s:.2f}s)")
@@ -151,6 +146,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
     benches = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
+    if args.jobs is None:
+        args.jobs = default_jobs()
     # validate the retry/timeout knobs before any cell runs
     resolve_policy(max_retries=args.max_retries, cell_timeout=args.cell_timeout)
     if args.profile or args.metric == "breakdown":
@@ -167,8 +164,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     results = sweep(
         systems, benches, refs=args.refs, seed=args.seed, scale=args.scale,
         jobs=args.jobs, run_dir=args.resume, max_retries=args.max_retries,
-        cell_timeout=args.cell_timeout, recovery=recovery, engine=args.engine,
-        **_sim_kwargs(args),
+        cell_timeout=args.cell_timeout, recovery=recovery, **_sim_kwargs(args),
     )
 
     if args.metric == "breakdown":
@@ -461,32 +457,11 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
     benches = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
     configs = resolve_sweep_configs(systems)
-    if args.engine == "both":
-        from .sim.parallel import engine_comparison_json, engine_comparison_report
-
-        interp, wall_i = timed_sweep(
-            configs, benches, refs=args.refs, seed=args.seed, jobs=args.jobs,
-            engine="interp", manifest_name="perf-interp",
-            command="perf --engine both",
-        )
-        batch, wall_b = timed_sweep(
-            configs, benches, refs=args.refs, seed=args.seed, jobs=args.jobs,
-            engine="batch", manifest_name="perf-batch",
-            command="perf --engine both",
-        )
-        report = engine_comparison_report(interp, batch)
-        doc = engine_comparison_json(
-            interp, batch, wall_interp=wall_i, wall_batch=wall_b, jobs=args.jobs
-        )
-    else:
-        results, wall = timed_sweep(
-            configs, benches, refs=args.refs, seed=args.seed, jobs=args.jobs,
-            engine=args.engine,
-        )
-        report = throughput_report(results, wall_s=wall, jobs=args.jobs)
-        from .sim.parallel import perf_json
-
-        doc = perf_json(results, wall_s=wall, jobs=args.jobs)
+    results, wall = timed_sweep(
+        configs, benches, refs=args.refs, seed=args.seed, jobs=args.jobs
+    )
+    report = throughput_report(results, wall_s=wall, jobs=args.jobs)
+    doc = perf_json(results, wall_s=wall, jobs=args.jobs)
     print(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -543,6 +518,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         remote_latencies=_parse_ints(args.remote_latencies),
     )
     benches = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
+    if args.jobs is None:
+        args.jobs = default_jobs()
     store = None
     if args.store:
         from .service.store import ResultStore
@@ -559,8 +536,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             ) from None
         doc, cells, failures = check_surrogate(
             baseline, space, benches, refs=args.refs, seed=args.seed,
-            scale=args.scale, jobs=args.jobs, engine=args.engine,
-            sample=args.sample, result_store=store,
+            scale=args.scale, jobs=args.jobs, sample=args.sample,
+            result_store=store,
         )
         report = validation_report(cells)
         report += (
@@ -589,8 +566,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     model = SurrogateModel.load(args.model) if args.model else None
     outcome = explore(
         space, benches, refs=args.refs, seed=args.seed, scale=args.scale,
-        jobs=args.jobs, engine=args.engine, sample=args.sample,
-        frontier_max=args.frontier_max,
+        jobs=args.jobs, sample=args.sample, frontier_max=args.frontier_max,
         simulate_frontier=not args.no_simulate,
         result_store=store, model=model,
     )
@@ -772,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the stall profiler in every cell (workers "
                         "inherit it); profile data lands in each cell's "
                         "metrics snapshot")
-    p.add_argument("--jobs", type=int, default=default_jobs(),
+    p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the matrix "
                         "(default: REPRO_JOBS or CPU count)")
     p.add_argument("--resume", metavar="DIR", default=None,
@@ -841,11 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (default serial — single-core "
                         "refs/sec is the regression-tracked number)")
-    p.add_argument("--engine", choices=("interp", "batch", "both"),
-                   default=None,
-                   help="execution backend to measure (default: REPRO_ENGINE "
-                        "or interp); 'both' runs each engine and prints a "
-                        "side-by-side speedup column")
     p.add_argument("--out", default=None,
                    help="also write the report to this file")
     p.add_argument("--json", default=None, metavar="PATH",
@@ -867,11 +838,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--scale", type=float, default=DEFAULT_SCALE,
                    help="dataset scale vs. Table 3 (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=default_jobs(),
+    p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the real sweeps "
                         "(default: REPRO_JOBS or CPU count)")
-    p.add_argument("--engine", choices=("interp", "batch"), default=None,
-                   help="execution backend for the real sweeps")
     p.add_argument("--families",
                    default="base,nc,vb,vp,ncd,p,ncp,vbp,vpp,vxp",
                    help="system families to search (default %(default)s)")

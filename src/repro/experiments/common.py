@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
+from ..sim.parallel import env_jobs
 from ..sim.results import SimulationResult
 from ..sim.runner import DEFAULT_REFS, DEFAULT_SCALE, sweep
 
@@ -53,10 +54,7 @@ def default_jobs() -> int:
     stay dependency-free; set ``REPRO_JOBS`` (or pass ``--jobs`` to the
     CLI) to fan matrices out over a process pool.
     """
-    raw = os.environ.get("REPRO_JOBS")
-    if raw:
-        return max(1, int(raw))
-    return 1
+    return env_jobs() or 1
 
 
 @dataclass

@@ -102,17 +102,13 @@ def build_manifest(
     scale: Optional[float] = None,
     jobs: Optional[int] = None,
     wall_s: Optional[float] = None,
-    engine: Optional[str] = None,
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Assemble the manifest for one finished sweep.
 
     ``results`` is the usual ``(system, benchmark) -> SimulationResult``
     map; cells are recorded in iteration order (the deterministic plan
-    order of both the serial and the parallel path).  ``engine`` records
-    the execution backend the sweep ran on; like ``jobs`` it is stripped
-    from :func:`manifest_core`, because engines are bit-identical and
-    must not change the artifact.
+    order of both the serial and the parallel path).
     """
     from .. import __version__
 
@@ -150,7 +146,6 @@ def build_manifest(
             "seed": seed,
             "scale": scale,
             "jobs": jobs,
-            "engine": engine or "interp",
         },
         "cells": cells,
         "aggregate_metrics": aggregate_metrics(
@@ -179,7 +174,9 @@ def manifest_core(manifest: Mapping[str, object]) -> Dict[str, object]:
     ]
     params = dict(core.get("parameters", {}))
     params.pop("jobs", None)  # worker count must not change the artifact
-    params.pop("engine", None)  # engines are bit-identical by construction
+    # older manifests record an execution engine; dropping it keeps their
+    # core equal to a current one
+    params.pop("engine", None)
     core["parameters"] = params
     return core
 
@@ -222,7 +219,6 @@ def maybe_write_sweep_manifest(
     directory: Optional[Union[str, Path]] = None,
     name: str = "sweep",
     recovery=None,
-    engine: Optional[str] = None,
     cache: Optional[Dict[str, object]] = None,
 ) -> Optional[Path]:
     """Write a sweep manifest when a destination is configured.
@@ -254,7 +250,6 @@ def maybe_write_sweep_manifest(
         scale=scale,
         jobs=jobs,
         wall_s=wall_s,
-        engine=engine,
         extra=extra,
     )
     return write_manifest(manifest, dest, name=name)

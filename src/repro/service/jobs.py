@@ -103,10 +103,7 @@ class JobSpec:
     """One validated sweep request.
 
     The JSON body of ``POST /jobs``: ``systems`` and ``benchmarks`` name
-    the matrix, the rest shapes the traces and the execution.  ``engine``
-    is honoured for cells that must be simulated but is deliberately
-    **not** part of the result-store key — engines are bit-identical, so
-    an interp-simulated cell legitimately serves a batch request.
+    the matrix, the rest shapes the traces and the execution.
     """
 
     systems: Tuple[str, ...]
@@ -114,7 +111,6 @@ class JobSpec:
     refs: int = 10_000
     seed: int = 1
     scale: float = DEFAULT_SCALE
-    engine: Optional[str] = None
     jobs: int = 1  #: worker processes for the sweep's pool
 
     @classmethod
@@ -126,9 +122,7 @@ class JobSpec:
         """
         if not isinstance(raw, dict):
             raise JobSpecError("spec must be a JSON object")
-        unknown = set(raw) - {
-            "systems", "benchmarks", "refs", "seed", "scale", "engine", "jobs"
-        }
+        unknown = set(raw) - {"systems", "benchmarks", "refs", "seed", "scale", "jobs"}
         if unknown:
             raise JobSpecError(f"unknown spec field(s): {', '.join(sorted(unknown))}")
 
@@ -175,12 +169,9 @@ class JobSpec:
         scale = float(scale)
         if not 0.0 < scale <= 8.0:
             raise JobSpecError("scale must be in (0, 8]")
-        engine = raw.get("engine")
-        if engine is not None and engine not in ("interp", "batch"):
-            raise JobSpecError("engine must be 'interp' or 'batch'")
         spec = cls(
             systems=systems, benchmarks=benchmarks, refs=refs, seed=seed,
-            scale=scale, engine=engine, jobs=jobs,
+            scale=scale, jobs=jobs,
         )
         # resolve every system eagerly: an unknown name or bad override
         # must 400 at submit time, not fail the job minutes later
@@ -205,7 +196,6 @@ class JobSpec:
             "refs": self.refs,
             "seed": self.seed,
             "scale": self.scale,
-            "engine": self.engine,
             "jobs": self.jobs,
         }
 
@@ -468,7 +458,11 @@ class JobManager:
         for job_file in sorted(self.jobs_dir.glob("*/job.json")):
             try:
                 raw = json.loads(job_file.read_text(encoding="utf-8"))
-                spec = JobSpec.from_dict(raw["spec"])
+                # older job.json files carry an ``engine`` spec field that
+                # no longer exists; drop it rather than abandon the job
+                spec_raw = dict(raw["spec"])
+                spec_raw.pop("engine", None)
+                spec = JobSpec.from_dict(spec_raw)
                 job = Job(
                     id=str(raw["id"]),
                     spec=spec,
@@ -671,7 +665,6 @@ class JobManager:
                 jobs=job.spec.jobs,
                 run_dir=self.run_dir(job.id),
                 recovery=recovery,
-                engine=job.spec.engine,
                 result_store=self.store,
                 should_abort=abort.is_set,
                 metrics=self.metrics,
@@ -679,12 +672,8 @@ class JobManager:
                 request_id=job.request_id,
             )
         except JobCancelledError:
-            job.finished_unix = time.time()
             if job_id in self._cancel_requested:
-                job.state = "cancelled"
-                self._persist(job)
-                self._emit("job_cancelled", job)
-                self._finish_telemetry(job, spans, run_t0)
+                self._finish(job, "cancelled", "job_cancelled", spans, run_t0)
             else:
                 # drain abort: park back to queued so a restarted server
                 # resumes from the journal (completed cells restore
@@ -700,12 +689,8 @@ class JobManager:
                 self._save_metrics()
             return
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
-            job.state = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
-            job.finished_unix = time.time()
-            self._persist(job)
-            self._emit("job_failed", job)
-            self._finish_telemetry(job, spans, run_t0)
+            self._finish(job, "failed", "job_failed", spans, run_t0)
             return
         spans.add(
             "sweep run", run_t0, time.time() - run_t0,
@@ -723,7 +708,6 @@ class JobManager:
             scale=job.spec.scale,
             jobs=job.spec.jobs,
             wall_s=time.time() - (job.started_unix or time.time()),
-            engine=job.spec.engine,
             extra={
                 "cache": job.cache,
                 "recovery": recovery.summary() if len(recovery) else {},
@@ -731,34 +715,42 @@ class JobManager:
             },
         )
         write_manifest(manifest, self.job_dir(job.id), name="job")
-        job.state = "done"
-        job.finished_unix = time.time()
-        self._persist(job)
-        self._emit("job_completed", job)
-        self._finish_telemetry(job, spans, run_t0, add_run_span=False)
+        self._finish(job, "done", "job_completed", spans, run_t0, add_run_span=False)
 
-    def _finish_telemetry(
+    def _finish(
         self,
         job: Job,
+        state: str,
+        event: str,
         spans: SpanRecorder,
         run_t0: float,
         add_run_span: bool = True,
     ) -> None:
-        """Terminal-transition bookkeeping: histograms, counters, gauges,
-        and a snapshot save so a SIGKILL right after loses nothing."""
+        """Terminal transition to ``state``.
+
+        The job is counted and the registry snapshot saved *before*
+        ``state`` is published, so a client that sees the job finished
+        also finds it in ``/metrics`` and in the snapshot a SIGKILL leaves
+        behind.  The gauges follow the publish in memory; a restart
+        recomputes them and the next save persists them.
+        """
+        job.finished_unix = time.time()
         if add_run_span:
             spans.add(
-                "sweep run", run_t0, time.time() - run_t0,
-                span_id=run_span_id(job.id), job_id=job.id, state=job.state,
+                "sweep run", run_t0, job.finished_unix - run_t0,
+                span_id=run_span_id(job.id), job_id=job.id, state=state,
             )
         spans.close()
-        if job.started_unix and job.finished_unix:
+        if job.started_unix:
             self.metrics.observe(
                 "repro_job_run_seconds", max(0.0, job.finished_unix - job.started_unix)
             )
-        self.metrics.inc("repro_jobs_completed_total", labels={"state": job.state})
-        self._update_gauges()
+        self.metrics.inc("repro_jobs_completed_total", labels={"state": state})
         self._save_metrics()
+        job.state = state
+        self._persist(job)
+        self._emit(event, job)
+        self._update_gauges()
 
     def _write_result(self, job: Job, results) -> None:
         cells = []

@@ -8,10 +8,6 @@ keeps: the system-configuration digest and the content-addressed trace
 key (benchmark, refs, seed, scale, format version).  Everything that
 *cannot* change the counters is deliberately excluded:
 
-* the execution **engine** (interpreter vs batch) — engines are
-  bit-identical by construction (``repro check --diff`` proves it), so a
-  cell simulated on one engine legitimately serves a request for the
-  other;
 * the **system display name** — two names resolving to the same
   configuration share one entry;
 * worker counts, retries, wall-clock timings.
@@ -115,7 +111,7 @@ def _payload_sha(body: Dict[str, object]) -> str:
 
 #: entry fields that legitimately differ between identical cells (the
 #: producing system's display name and timestamps are provenance, not
-#: content — note the engine is not even recorded: it cannot matter)
+#: content)
 _VOLATILE_FIELDS = ("payload_sha", "created_unix", "system")
 
 

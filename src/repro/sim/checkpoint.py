@@ -122,17 +122,14 @@ class SweepJournal:
         scale: float,
         systems: Sequence[str],
         benchmarks: Sequence[str],
-        engine: str = "interp",
     ) -> "SweepJournal":
         """Open (creating if needed) the journal for one sweep's parameters.
 
         A fresh directory gets a ``run.json`` header; an existing one must
         match the requested parameters exactly, else resuming would merge
-        cells from a different sweep.  The execution engine is part of the
-        identity: although engines are bit-identical, a resumed run must
-        report the engine that actually produced its cells.  Headers
-        written before the engine field existed read as ``"interp"`` —
-        the only engine that existed then.
+        cells from a different sweep.  Only the keys written here are
+        compared, so a header carrying a key this version no longer
+        writes (the retired ``engine``) still resumes.
         """
         journal = cls(run_dir)
         params = {
@@ -142,7 +139,6 @@ class SweepJournal:
             "scale": float(scale),
             "systems": list(systems),
             "benchmarks": list(benchmarks),
-            "engine": str(engine),
         }
         header_path = journal.run_dir / HEADER_NAME
         if header_path.exists():
@@ -152,7 +148,6 @@ class SweepJournal:
                 raise CheckpointError(
                     f"unreadable run header {header_path}: {exc}"
                 ) from exc
-            existing.setdefault("engine", "interp")
             mismatched = [
                 key
                 for key, value in params.items()
@@ -162,7 +157,7 @@ class SweepJournal:
                 raise CheckpointError(
                     f"run directory {journal.run_dir} was started with different "
                     f"parameters ({', '.join(mismatched)}); use a fresh directory "
-                    f"or matching --refs/--seed/--scale/--engine/systems/benchmarks"
+                    f"or matching --refs/--seed/--scale/systems/benchmarks"
                 )
         else:
             journal.run_dir.mkdir(parents=True, exist_ok=True)
@@ -275,7 +270,7 @@ class SweepJournal:
         One JSON line, flushed and fsynced before returning: once this
         method returns, the cell survives any crash of the process.
         ``source`` records how the cell was obtained — ``"simulated"`` by
-        an engine, or ``"cache"`` from the content-addressed result store
+        the simulator, or ``"cache"`` from the content-addressed result store
         (:mod:`repro.service.store`); it is provenance only and plays no
         part in resume validation, but ``repro top`` and the service's
         job endpoints surface it so cache hits are visible per cell.

@@ -81,13 +81,7 @@ from .runner import DEFAULT_REFS, DEFAULT_SCALE, get_trace, run_trace
 
 
 class SweepCell(NamedTuple):
-    """One unit of sweep work: a (system, benchmark) cell plus trace shape.
-
-    ``engine`` names the execution backend the cell runs on; it travels
-    with the cell so pool workers run exactly the engine the parent
-    resolved (a worker never re-reads ``$REPRO_ENGINE``).  The trailing
-    default keeps older pickled cells loadable.
-    """
+    """One unit of sweep work: a (system, benchmark) cell plus trace shape."""
 
     system: str
     benchmark: str
@@ -95,16 +89,29 @@ class SweepCell(NamedTuple):
     refs: int
     seed: int
     scale: float
-    engine: str = "interp"
+
+
+def env_jobs() -> Optional[int]:
+    """``$REPRO_JOBS`` as a worker count, or ``None`` when it is unset.
+
+    A value that is not an integer raises :class:`ConfigurationError`
+    naming the variable, which the CLI reports as an ``error:`` line.
+    """
+    raw = os.environ.get("REPRO_JOBS")
+    if not raw:
+        return None
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigurationError(
+            f"REPRO_JOBS must be an integer worker count, got {raw!r}"
+        ) from None
 
 
 def default_jobs() -> int:
     """Worker count when the caller does not choose: env ``REPRO_JOBS`` or
     the machine's CPU count."""
-    raw = os.environ.get("REPRO_JOBS")
-    if raw:
-        return max(1, int(raw))
-    return os.cpu_count() or 1
+    return env_jobs() or os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +258,10 @@ def plan_cells(
     refs: int = DEFAULT_REFS,
     seed: int = 1,
     scale: float = DEFAULT_SCALE,
-    engine: str = "interp",
 ) -> List[SweepCell]:
     """The sweep's work list, benchmark-major (identical to serial order)."""
     return [
-        SweepCell(system, bench, config, refs, seed, scale, engine)
+        SweepCell(system, bench, config, refs, seed, scale)
         for bench in benchmarks
         for system, config in configs.items()
     ]
@@ -310,9 +316,7 @@ def _attempt_cell(cell: SweepCell, disk_cache: bool, attempt: int) -> Simulation
         scale=cell.scale,
         disk_cache=disk_cache,
     )
-    return run_trace(
-        cell.config, trace, system_name=cell.system, engine=cell.engine
-    )
+    return run_trace(cell.config, trace, system_name=cell.system)
 
 
 #: failures that retrying cannot fix (configuration is validated eagerly,
@@ -809,7 +813,6 @@ def run_parallel_sweep(
     max_retries: Optional[int] = None,
     cell_timeout: Optional[float] = None,
     recovery: Optional[RecoveryLog] = None,
-    engine: Optional[str] = None,
     result_store=None,
     should_abort: Optional[Callable[[], bool]] = None,
     metrics=None,
@@ -821,9 +824,7 @@ def run_parallel_sweep(
     Returns exactly what the serial sweep would: ``(system, benchmark) ->
     SimulationResult`` with bit-identical counters, in the same iteration
     order — including across crash/resume (``run_dir``), retries, worker
-    loss, and injected faults.  ``engine`` is resolved once in the parent
-    (explicit choice over ``$REPRO_ENGINE`` over the interpreter) and
-    rides inside every cell, so workers and resumed runs use it verbatim.
+    loss, and injected faults.
 
     ``result_store`` — a :class:`repro.service.store.ResultStore` —
     memoises completed cells by content key: before simulating, each cell
@@ -853,12 +854,7 @@ def run_parallel_sweep(
     counters derived from the recovery log at the end (retries, timeouts,
     redispatches) assume a fresh ``recovery`` per call.
     """
-    from .batch import resolve_engine
-
-    engine = resolve_engine(engine)
-    cells = plan_cells(
-        configs, benchmarks, refs=refs, seed=seed, scale=scale, engine=engine
-    )
+    cells = plan_cells(configs, benchmarks, refs=refs, seed=seed, scale=scale)
     policy = resolve_policy(max_retries, cell_timeout)
     if recovery is None:
         recovery = RecoveryLog()
@@ -875,7 +871,6 @@ def run_parallel_sweep(
             scale=scale,
             systems=list(configs),
             benchmarks=list(benchmarks),
-            engine=engine,
         )
         # provenance only — deliberately NOT part of the header identity,
         # so a resumed run under a different request id still matches
@@ -1199,33 +1194,28 @@ def timed_sweep(
     scale: float = DEFAULT_SCALE,
     jobs: int = 1,
     manifest_dir: Optional[str] = None,
-    manifest_name: str = "sweep",
     command: str = "",
     run_dir: Optional[str] = None,
     max_retries: Optional[int] = None,
     cell_timeout: Optional[float] = None,
     recovery: Optional[RecoveryLog] = None,
-    engine: Optional[str] = None,
     result_store=None,
 ) -> Tuple[Dict[Tuple[str, str], SimulationResult], float]:
     """Run a sweep (parallel or serial) and return ``(results, wall_s)``.
 
     A run manifest is written to ``manifest_dir`` when given, else to
     ``$REPRO_MANIFEST_DIR`` when set, else not at all; any recovery
-    actions the sweep took are surfaced in it — as is the execution
-    engine the sweep ran on, and (with a ``result_store``) the cache
-    hit/simulated split under the manifest's ``cache`` key.
+    actions the sweep took are surfaced in it, and with a
+    ``result_store`` so is the cache hit/simulated split, under the
+    manifest's ``cache`` key.
     """
-    from .batch import resolve_engine
-
-    engine = resolve_engine(engine)
     if recovery is None:
         recovery = RecoveryLog()
     start = time.perf_counter()
     results = run_parallel_sweep(
         configs, benchmarks, refs=refs, seed=seed, scale=scale, jobs=jobs,
         run_dir=run_dir, max_retries=max_retries, cell_timeout=cell_timeout,
-        recovery=recovery, engine=engine, result_store=result_store,
+        recovery=recovery, result_store=result_store,
     )
     wall_s = time.perf_counter() - start
     from ..obs.manifest import maybe_write_sweep_manifest
@@ -1239,96 +1229,7 @@ def timed_sweep(
         jobs=jobs,
         wall_s=wall_s,
         directory=manifest_dir,
-        name=manifest_name,
         recovery=recovery,
-        engine=engine,
         cache=cache_summary(results, recovery) if result_store is not None else None,
     )
     return results, wall_s
-
-
-# ---------------------------------------------------------------------------
-# engine comparison (repro perf --engine both)
-# ---------------------------------------------------------------------------
-
-
-def engine_comparison_report(
-    interp: Mapping[Tuple[str, str], SimulationResult],
-    batch: Mapping[Tuple[str, str], SimulationResult],
-) -> str:
-    """Side-by-side interp vs batch throughput with a speedup column.
-
-    Both result maps must cover the same cells (they come from two
-    :func:`timed_sweep` calls over one matrix).  The speedup is engine
-    time over engine time — wall clock and job count cancel out.
-    """
-    lines = ["engine comparison (interp vs batch)", "=" * 35]
-    lines.append(
-        f"{'system':<8} {'benchmark':<10} {'interp/s':>11} {'batch/s':>11} "
-        f"{'speedup':>8}"
-    )
-    t_interp = 0.0
-    t_batch = 0.0
-    refs = 0
-    for key, ri in interp.items():
-        rb = batch.get(key)
-        if rb is None:
-            continue
-        system, bench = key
-        t_interp += ri.elapsed_s
-        t_batch += rb.elapsed_s
-        refs += ri.refs
-        ratio = ri.elapsed_s / rb.elapsed_s if rb.elapsed_s > 0 else 0.0
-        lines.append(
-            f"{system:<8} {bench:<10} {ri.refs_per_sec:>11,.0f} "
-            f"{rb.refs_per_sec:>11,.0f} {ratio:>7.2f}x"
-        )
-    lines.append("-" * 52)
-    total_ratio = t_interp / t_batch if t_batch > 0 else 0.0
-    rate_i = refs / t_interp if t_interp > 0 else 0.0
-    rate_b = refs / t_batch if t_batch > 0 else 0.0
-    lines.append(
-        f"{'total':<8} {'':<10} {rate_i:>11,.0f} {rate_b:>11,.0f} "
-        f"{total_ratio:>7.2f}x"
-    )
-    return "\n".join(lines)
-
-
-def engine_comparison_json(
-    interp: Mapping[Tuple[str, str], SimulationResult],
-    batch: Mapping[Tuple[str, str], SimulationResult],
-    wall_interp: Optional[float] = None,
-    wall_batch: Optional[float] = None,
-    jobs: int = 1,
-) -> Dict[str, object]:
-    """Machine-readable side-by-side payload for ``--engine both --json``.
-
-    Embeds one full :func:`perf_json` payload per engine (so the bench
-    regression gate can consume either) plus a per-cell ``speedup`` map
-    and the engine-time totals.
-    """
-    cells: Dict[str, Dict[str, object]] = {}
-    t_interp = 0.0
-    t_batch = 0.0
-    for key, ri in interp.items():
-        rb = batch.get(key)
-        if rb is None:
-            continue
-        system, bench = key
-        t_interp += ri.elapsed_s
-        t_batch += rb.elapsed_s
-        cells[f"{system}/{bench}"] = {
-            "interp_refs_per_sec": round(ri.refs_per_sec, 1),
-            "batch_refs_per_sec": round(rb.refs_per_sec, 1),
-            "speedup": (
-                round(ri.elapsed_s / rb.elapsed_s, 3) if rb.elapsed_s > 0 else 0.0
-            ),
-        }
-    return {
-        "engines": {
-            "interp": perf_json(interp, wall_interp, jobs),
-            "batch": perf_json(batch, wall_batch, jobs),
-        },
-        "cells": cells,
-        "total_speedup": round(t_interp / t_batch, 3) if t_batch > 0 else 0.0,
-    }

@@ -24,8 +24,8 @@ from ..params import SystemConfig
 from ..system.builder import build_machine, system_config
 from ..trace.record import Trace, TraceSpec
 from ..trace.synthetic import generate_trace
-from .batch import make_simulator
 from .results import SimulationResult
+from .simulator import Simulator
 
 #: default dataset scale: 1/8 of the paper's Table 3 footprints, matched to
 #: the default trace length (see DESIGN.md's scaling argument)
@@ -96,7 +96,6 @@ def run_trace(
     system_name: str = "",
     tracer=None,
     profiler=None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Run one prepared trace through one machine configuration.
 
@@ -108,14 +107,11 @@ def run_trace(
     automatically.  A profiled run's snapshot carries the attribution
     under ``profile.*``/``hist.stall/*``/``series.profile/*`` keys.
     Every result carries a deterministic metrics snapshot either way.
-    ``engine`` selects the execution backend (``"interp"`` or
-    ``"batch"``); ``None`` defers to ``$REPRO_ENGINE``, then the
-    interpreter.  Both engines produce bit-identical results.
     """
     if profiler is None and profiling_enabled():
         profiler = StallProfiler(config)
     machine = build_machine(config, dataset_bytes=trace.dataset_bytes)
-    sim = make_simulator(engine, machine, tracer=tracer, profiler=profiler)
+    sim = Simulator(machine, tracer=tracer, profiler=profiler)
     start = time.perf_counter()
     counters = sim.run(trace)
     elapsed = time.perf_counter() - start
@@ -146,7 +142,6 @@ def simulate(
     config: Optional[SystemConfig] = None,
     tracer=None,
     profile: bool = False,
-    engine: Optional[str] = None,
     **config_overrides: object,
 ) -> SimulationResult:
     """Simulate one paper system on one benchmark.
@@ -159,16 +154,13 @@ def simulate(
     ``nc_size``, ``threshold_policy``, ``initial_threshold``, ...).
     ``tracer`` attaches an :class:`repro.obs.events.EventTracer` to the run;
     ``profile=True`` attaches a :class:`repro.obs.profile.StallProfiler`.
-    ``engine="batch"`` runs the vectorised backend (see
-    :mod:`repro.sim.batch`); results are bit-identical either way.
     """
     trace = get_trace(benchmark, refs=refs, seed=seed, scale=scale)
     if config is None:
         config = system_config(system, **config_overrides)  # type: ignore[arg-type]
     profiler = StallProfiler(config) if profile else None
     return run_trace(
-        config, trace, system_name=system, tracer=tracer, profiler=profiler,
-        engine=engine,
+        config, trace, system_name=system, tracer=tracer, profiler=profiler
     )
 
 
@@ -236,7 +228,6 @@ def sweep(
     max_retries: Optional[int] = None,
     cell_timeout: Optional[float] = None,
     recovery=None,
-    engine: Optional[str] = None,
     result_store=None,
     **shared_overrides: object,
 ) -> Dict[Tuple[str, str], SimulationResult]:
@@ -253,9 +244,7 @@ def sweep(
     bit-identically; ``max_retries``/``cell_timeout`` bound per-cell fault
     handling (defaults from ``REPRO_MAX_RETRIES``/``REPRO_CELL_TIMEOUT``);
     ``recovery`` — a :class:`repro.sim.parallel.RecoveryLog` — collects
-    every recovery action the sweep took.  ``engine`` selects the
-    execution backend for every cell (``None`` defers to
-    ``$REPRO_ENGINE``, then the interpreter).  ``result_store`` — a
+    every recovery action the sweep took.  ``result_store`` — a
     :class:`repro.service.store.ResultStore` — memoises completed cells
     by content key, so repeating a sweep serves them without simulating
     (see ``docs/SERVICE.md``).
@@ -270,5 +259,5 @@ def sweep(
     return run_parallel_sweep(
         configs, benchmarks, refs=refs, seed=seed, scale=scale, jobs=jobs,
         run_dir=run_dir, max_retries=max_retries, cell_timeout=cell_timeout,
-        recovery=recovery, engine=engine, result_store=result_store,
+        recovery=recovery, result_store=result_store,
     )

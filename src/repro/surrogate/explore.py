@@ -380,7 +380,6 @@ def calibrate(
     seed: int = 1,
     scale: float = DEFAULT_SCALE,
     jobs: int = 1,
-    engine: Optional[str] = None,
     result_store=None,
     train_configs: Optional[Mapping[str, SystemConfig]] = None,
     recovery=None,
@@ -397,7 +396,7 @@ def calibrate(
     configs = OrderedDict(train_configs) if train_configs else training_configs()
     results = run_parallel_sweep(
         configs, list(benchmarks), refs=refs, seed=seed, scale=scale,
-        jobs=jobs, engine=engine, result_store=result_store, recovery=recovery,
+        jobs=jobs, result_store=result_store, recovery=recovery,
     )
     tfs = trace_features_for(benchmarks, refs=refs, seed=seed, scale=scale)
     model = fit_surrogate(
@@ -414,7 +413,6 @@ def explore(
     seed: int = 1,
     scale: float = DEFAULT_SCALE,
     jobs: int = 1,
-    engine: Optional[str] = None,
     sample: Optional[int] = None,
     frontier_max: int = 12,
     simulate_frontier: bool = True,
@@ -433,8 +431,7 @@ def explore(
     if model is None:
         model, train_results, tfs = calibrate(
             benchmarks, refs=refs, seed=seed, scale=scale, jobs=jobs,
-            engine=engine, result_store=result_store,
-            train_configs=train_configs,
+            result_store=result_store, train_configs=train_configs,
         )
         train_cells = len(train_results)
     else:
@@ -489,8 +486,7 @@ def explore(
     sim_start = time.perf_counter()
     results = run_parallel_sweep(
         configs, list(benchmarks), refs=refs, seed=seed, scale=scale,
-        jobs=jobs, engine=engine, result_store=result_store,
-        recovery=recovery,
+        jobs=jobs, result_store=result_store, recovery=recovery,
     )
     outcome.sim_wall_s = time.perf_counter() - sim_start
     if result_store is not None:
@@ -687,7 +683,6 @@ def check_surrogate(
     seed: int = 1,
     scale: float = DEFAULT_SCALE,
     jobs: int = 1,
-    engine: Optional[str] = None,
     sample: Optional[int] = None,
     result_store=None,
 ) -> Tuple[Dict[str, object], List[CellValidation], List[str]]:
@@ -705,11 +700,11 @@ def check_surrogate(
 
     model, _train, tfs = calibrate(
         benchmarks, refs=refs, seed=seed, scale=scale, jobs=jobs,
-        engine=engine, result_store=result_store,
+        result_store=result_store,
     )
     holdout = run_parallel_sweep(
         holdout_configs(), list(benchmarks), refs=refs, seed=seed,
-        scale=scale, jobs=jobs, engine=engine, result_store=result_store,
+        scale=scale, jobs=jobs, result_store=result_store,
     )
     cells = validate_model(model, holdout, tfs)
     summary = error_summary(cells)

@@ -41,7 +41,7 @@ def _normalise(name: str, arr, dtype) -> np.ndarray:
 
     :func:`np.ascontiguousarray` converts dtype, byte order, and layout in
     a single pass and is a no-op view when the input already conforms — so
-    every engine indexes the arrays directly instead of paying a silent
+    the simulator indexes the arrays directly instead of paying a silent
     copy per run when a cached trace deserialises with a mismatched dtype
     (or a strided/byte-swapped view sneaks in through a slice).
     """
@@ -56,10 +56,9 @@ class Trace:
 
     The reference arrays are normalised **once at construction**:
     ``pids`` is C-contiguous native ``int32``, ``addrs`` native ``int64``,
-    ``writes`` native ``uint8``.  Both engines rely on this — the
-    interpreter iterates them as Python scalars, the batch engine slices
-    them directly into vector classification — so no per-run conversion
-    or copying ever happens downstream.
+    ``writes`` native ``uint8``.  The simulator relies on this — it
+    slices them into chunks and iterates them as Python scalars — so no
+    per-run conversion or copying ever happens downstream.
     """
 
     __slots__ = ("name", "pids", "addrs", "writes", "dataset_bytes", "placement", "meta")

@@ -68,6 +68,7 @@ class TestJobSpec:
         (dict(SPEC, jobs=0), "jobs"),
         (dict(SPEC, surprise=1), "unknown spec field"),
         (dict(SPEC, systems=["vb"] * 60, benchmarks=["fft"] * 10), "limit"),
+        (dict(SPEC, engine="interp"), "unknown spec field"),
     ])
     def test_rejects_bad_specs(self, broken, needle):
         with pytest.raises(JobSpecError, match=needle):
@@ -150,6 +151,38 @@ class TestRestartRecovery:
             assert finished.resumed
         finally:
             mgr2.close()
+
+    def test_job_json_with_engine_field_resumes(self, tmp_path):
+        # job.json files from versions with a selectable execution engine
+        # persist "engine": null in the spec; a restart must still run
+        # them rather than abandon them as torn
+        data_dir = tmp_path / "svc"
+        mgr1 = JobManager(data_dir=data_dir)
+        job = Job(id="deadbeef0002", spec=JobSpec.from_dict(SPEC), state="queued")
+        mgr1._persist(job)
+        job_file = data_dir / "jobs" / job.id / "job.json"
+        raw = json.loads(job_file.read_text())
+        raw["spec"]["engine"] = None
+        job_file.write_text(json.dumps(raw))
+
+        mgr2 = JobManager(data_dir=data_dir, job_workers=1)
+        try:
+            assert mgr2.start() == [job.id]
+            finished = _wait(mgr2, job.id)
+            assert finished.state == "done" and finished.resumed
+            assert finished.spec == JobSpec.from_dict(SPEC)
+            cells = mgr2.result_payload(job.id)["cells"]
+        finally:
+            mgr2.close()
+
+        mgr3 = JobManager(data_dir=tmp_path / "fresh", job_workers=1)
+        mgr3.start()
+        try:
+            fresh = _wait(mgr3, mgr3.submit(SPEC).id)
+            assert fresh.state == "done"
+            assert mgr3.result_payload(fresh.id)["cells"] == cells
+        finally:
+            mgr3.close()
 
     def test_running_job_resumes_from_journal(self, tmp_path):
         # a job that died mid-run keeps its journal: the restarted run

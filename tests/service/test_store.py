@@ -1,5 +1,5 @@
 """Tests for the content-addressed result store: digest round-trip,
-quarantine-and-resimulate, concurrent writers, engine transparency."""
+quarantine-and-resimulate, concurrent writers."""
 
 from __future__ import annotations
 
@@ -88,16 +88,6 @@ class TestRoundTrip:
         cfg = system_config("vb")
         assert store.get(cfg, "fft", refs=REFS, seed=SEED, scale=SCALE) is None
         assert store.stats()["misses"] == 1
-
-    def test_engine_transparent(self, store):
-        # a cell simulated on the interpreter must serve a batch request:
-        # the key carries no engine at all
-        fresh = _simulate(engine="interp")
-        store.put(fresh, SCALE, refs=REFS, seed=SEED)
-        batch = _simulate(engine="batch")
-        assert batch.counters == fresh.counters  # engines bit-identical
-        hit = store.get(batch.config, "fft", refs=REFS, seed=SEED, scale=SCALE)
-        assert hit is not None and hit.counters == batch.counters
 
 
 class TestQuarantine:

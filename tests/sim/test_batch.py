@@ -1,33 +1,26 @@
-"""Tests for the vectorised batch execution engine (`repro.sim.batch`).
+"""Tests for the batched reference loop of `Simulator.run()`.
 
-The batch engine is an optimisation, never a semantic change: every test
-here pins bit-identity against the interpreter — counters *and* complete
-final machine state — across the full NC-variant matrix, across batch
-boundaries, under the process pool, through the fuzzer's adversarial
-strategies, and with the stall profiler attached.
+`run()` converts the trace to Python ints ``_RUN_CHUNK`` references at a
+time and inlines the L1-hit path over each batch; `step()` processes one
+reference.  The batched loop is an optimisation, never a semantic change:
+every test here pins bit-identity against reference-at-a-time `step()` —
+counters *and* complete final machine state — across the full NC-variant
+matrix, across batch boundaries, under the process pool, and with the
+stall profiler attached.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.check.fuzz import FuzzCase, generate_case, run_case_batch
+from repro.check import tiny_check_config
+from repro.check.fuzz import FuzzCase, case_trace
 from repro.check.oracle import machine_snapshot
-from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.profile import attributed_stall
-from repro.sim.batch import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
-    ENGINES,
-    BatchSimulator,
-    make_simulator,
-    resolve_engine,
-)
 from repro.sim.latency import remote_read_stall
-from repro.sim.runner import get_trace, resolve_sweep_configs, simulate, sweep
+from repro.sim.runner import get_trace, simulate, sweep
 from repro.sim.simulator import Simulator
+from repro.sim.validate import check_machine
 from repro.system.builder import build_machine, system_config
 
 ALL_VARIANTS = ["base", "nc", "ncd", "ncs", "vb", "vp", "p2", "vbp2", "vxp2"]
@@ -36,97 +29,66 @@ ALL_BENCHMARKS = [
 ]
 
 
-def run_both_engines(system, benchmark, refs=3_000, scale=0.03125):
-    """Run one cell on both engines; return the two simulators."""
-    trace = get_trace(benchmark, refs=refs, scale=scale)
-    config = system_config(system)
-    interp = Simulator(build_machine(config, dataset_bytes=trace.dataset_bytes))
-    interp.run(trace)
-    batch = BatchSimulator(build_machine(config, dataset_bytes=trace.dataset_bytes))
-    batch.run(trace)
-    return interp, batch
+def run_and_step(config, dataset_bytes, trace):
+    """Replay one trace through `run()` and through `step()`; return both."""
+    batched = Simulator(build_machine(config, dataset_bytes=dataset_bytes))
+    batched.run(trace)
+    stepped = Simulator(build_machine(config, dataset_bytes=dataset_bytes))
+    if trace.placement:
+        for page, home in trace.placement.items():
+            stepped.machine.placement.touch(page, home)
+    for pid, addr, w in zip(
+        trace.pids.tolist(), trace.addrs.tolist(), trace.writes.tolist()
+    ):
+        stepped.step(pid, addr, bool(w))
+    return batched, stepped
+
+
+def assert_identical(batched, stepped):
+    assert batched.counters.as_dict() == stepped.counters.as_dict()
+    assert batched.now == stepped.now
+    assert machine_snapshot(batched.machine) == machine_snapshot(stepped.machine)
 
 
 class TestBitIdentityMatrix:
-    """batch == interpreter on every NC variant x every benchmark."""
+    """run() == step() on every NC variant x every benchmark."""
 
     @pytest.mark.parametrize("system", ALL_VARIANTS)
     @pytest.mark.parametrize("bench", ALL_BENCHMARKS)
     def test_counters_and_state_identical(self, system, bench):
-        interp, batch = run_both_engines(system, bench)
-        assert interp.counters.as_dict() == batch.counters.as_dict()
-        assert machine_snapshot(interp.machine) == machine_snapshot(batch.machine)
-
-
-class TestEngineSelection:
-    def test_resolve_explicit(self):
-        assert resolve_engine("batch") == "batch"
-        assert resolve_engine("interp") == "interp"
-        assert resolve_engine("BATCH") == "batch"
-
-    def test_resolve_default(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine(None) == DEFAULT_ENGINE
-
-    def test_resolve_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "batch")
-        assert resolve_engine(None) == "batch"
-        # an explicit choice beats the environment
-        assert resolve_engine("interp") == "interp"
-
-    def test_resolve_unknown_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            resolve_engine("turbo")
-
-    def test_make_simulator_types(self):
-        trace = get_trace("fft", refs=1_000, scale=0.03125)
-        config = system_config("base")
-        machine = build_machine(config, dataset_bytes=trace.dataset_bytes)
-        assert isinstance(make_simulator("batch", machine), BatchSimulator)
-        machine = build_machine(config, dataset_bytes=trace.dataset_bytes)
-        sim = make_simulator("interp", machine)
-        assert isinstance(sim, Simulator) and not isinstance(sim, BatchSimulator)
-
-    def test_engines_registry(self):
-        assert ENGINES == ("interp", "batch")
-
-    def test_simulate_engine_kwarg(self):
-        a = simulate("vb", "fft", refs=4_000, scale=0.03125)
-        b = simulate("vb", "fft", refs=4_000, scale=0.03125, engine="batch")
-        assert a.counters.as_dict() == b.counters.as_dict()
-        assert a.metrics == b.metrics
-
-    def test_batch_requires_fresh_machine(self):
-        trace = get_trace("fft", refs=1_000, scale=0.03125)
-        config = system_config("base")
-        machine = build_machine(config, dataset_bytes=trace.dataset_bytes)
-        Simulator(machine).run(trace)  # dirty the L1s
-        with pytest.raises(ConfigurationError):
-            BatchSimulator(machine)
+        trace = get_trace(bench, refs=3_000, scale=0.03125)
+        batched, stepped = run_and_step(
+            system_config(system), trace.dataset_bytes, trace
+        )
+        assert_identical(batched, stepped)
 
 
 class TestBatchBoundaries:
     """Adversarial reference patterns straddling batch boundaries.
 
-    Shrinking ``_BATCH`` forces the crafted interactions to land both
-    inside one batch and across consecutive batches; `run_case_batch`
-    compares counters and final machine state against the interpreter.
+    Shrinking ``_RUN_CHUNK`` forces the crafted interactions to land both
+    inside one batch and across consecutive batches; the tiny check
+    machine (one-line L1s, two-line NCs) makes every pattern hit the miss
+    path between inlined hits.
     """
 
     @pytest.fixture(params=[4, 16, 1 << 14], ids=["b4", "b16", "b16k"])
     def batch_size(self, request, monkeypatch):
-        monkeypatch.setattr(BatchSimulator, "_BATCH", request.param)
+        monkeypatch.setattr(Simulator, "_RUN_CHUNK", request.param)
         return request.param
 
     def _assert_identical(self, events, system="base", n_blocks=4):
         case = FuzzCase(system, 0, "crafted", n_blocks, events)
-        result = run_case_batch(case)
-        assert result is None, result
+        config, dataset = tiny_check_config(system, n_blocks=n_blocks)
+        batched, stepped = run_and_step(config, dataset, case_trace(case))
+        assert_identical(batched, stepped)
+        batched.counters.check()
+        check_machine(batched.machine)
 
     def test_upgrade_then_read_same_block_two_pids(self, batch_size):
         # pid 0 holds the block shared; pid 1 upgrades it (invalidating
-        # pid 0); pid 0 re-reads — all within one batch.  The in-batch
-        # coherence check must demote pid 0's re-read off the vector path.
+        # pid 0); pid 0 re-reads — all within one batch.  The re-read must
+        # miss: the inlined hit path sees the invalidation immediately.
         events = []
         for block in range(4):
             events += [(0, block, 0), (1, block, 1), (0, block, 0)]
@@ -157,130 +119,41 @@ class TestBatchBoundaries:
         self._assert_identical(events, system="vb")
 
     def test_dense_read_run_split_by_boundary(self, batch_size):
-        # a long pure-read run (vector fast path) with a single remote
+        # a long pure-read run (inlined hit path) with a single remote
         # write dropped mid-run: correctness must not depend on where the
         # batch boundary falls inside the run
         events = [(0, 1, 0)] * 40 + [(1, 1, 1)] + [(0, 1, 0)] * 40
         self._assert_identical(events, system="vxp2")
 
 
-class TestFuzzStrategiesThroughBatch:
-    """Every fuzzer strategy replays identically on the batch engine."""
-
-    @pytest.mark.parametrize("system", ALL_VARIANTS)
-    @pytest.mark.parametrize(
-        "strategy", ["random_walk", "upgrade_race", "victim_storm", "relocation_edge"]
-    )
-    def test_strategy_identical(self, system, strategy):
-        case = generate_case(system, 11, strategy)
-        result = run_case_batch(case)
-        assert result is None, result
-
-
 class TestBatchUnderJobs:
-    """serial == parallel == batch-parallel, cell for cell."""
+    """serial == small-batch serial == small-batch parallel, cell for cell."""
 
-    def test_three_way_sweep_identity(self):
+    def test_three_way_sweep_identity(self, monkeypatch):
         systems, benches = ["base", "vb"], ["fft", "lu"]
         kw = dict(refs=4_000, scale=0.03125)
         serial = sweep(systems, benches, jobs=1, **kw)
-        batch_serial = sweep(systems, benches, jobs=1, engine="batch", **kw)
-        batch_parallel = sweep(systems, benches, jobs=2, engine="batch", **kw)
-        assert list(serial) == list(batch_serial) == list(batch_parallel)
+        # forked sweep workers inherit the patched class attribute
+        monkeypatch.setattr(Simulator, "_RUN_CHUNK", 64)
+        small_serial = sweep(systems, benches, jobs=1, **kw)
+        small_parallel = sweep(systems, benches, jobs=2, **kw)
+        assert list(serial) == list(small_serial) == list(small_parallel)
         for key in serial:
             a = serial[key].counters.as_dict()
-            assert a == batch_serial[key].counters.as_dict()
-            assert a == batch_parallel[key].counters.as_dict()
-            assert serial[key].metrics == batch_parallel[key].metrics
+            assert a == small_serial[key].counters.as_dict()
+            assert a == small_parallel[key].counters.as_dict()
+            assert serial[key].metrics == small_parallel[key].metrics
 
 
 class TestBatchProfiled:
-    """The profiler attributes stalls identically on the batch engine."""
+    """The profiler attributes stalls identically at any batch size."""
 
     @pytest.mark.parametrize("system", ["vb", "vxp2"])
-    def test_profiled_run_identical_and_conserves(self, system):
+    def test_profiled_run_identical_and_conserves(self, system, monkeypatch):
         a = simulate(system, "radix", refs=6_000, scale=0.03125, profile=True)
-        b = simulate(
-            system, "radix", refs=6_000, scale=0.03125, profile=True,
-            engine="batch",
-        )
+        monkeypatch.setattr(Simulator, "_RUN_CHUNK", 64)
+        b = simulate(system, "radix", refs=6_000, scale=0.03125, profile=True)
         assert a.counters.as_dict() == b.counters.as_dict()
         assert a.metrics == b.metrics
         attributed = attributed_stall(b.metrics, system, "radix")
         assert attributed == int(remote_read_stall(b.counters, b.config))
-
-
-class TestEngineInJournal:
-    def test_header_records_engine(self, tmp_path):
-        run_dir = tmp_path / "run"
-        sweep(["base"], ["fft"], refs=2_000, scale=0.03125,
-              run_dir=str(run_dir), engine="batch")
-        header = json.loads((run_dir / "run.json").read_text())
-        assert header["engine"] == "batch"
-
-    def test_resume_engine_mismatch_refuses(self, tmp_path):
-        run_dir = tmp_path / "run"
-        kw = dict(refs=2_000, scale=0.03125, run_dir=str(run_dir))
-        sweep(["base"], ["fft"], engine="batch", **kw)
-        with pytest.raises(CheckpointError, match="engine"):
-            sweep(["base"], ["fft"], engine="interp", **kw)
-
-    def test_pre_engine_header_reads_as_interp(self, tmp_path):
-        # a run.json written before the engine field existed must resume
-        # under the interpreter (the only engine that existed then)
-        run_dir = tmp_path / "run"
-        kw = dict(refs=2_000, scale=0.03125, run_dir=str(run_dir))
-        sweep(["base"], ["fft"], engine="interp", **kw)
-        header_path = run_dir / "run.json"
-        header = json.loads(header_path.read_text())
-        del header["engine"]
-        header_path.write_text(json.dumps(header))
-        sweep(["base"], ["fft"], engine="interp", **kw)  # resumes cleanly
-        with pytest.raises(CheckpointError, match="engine"):
-            sweep(["base"], ["fft"], engine="batch", **kw)
-
-
-class TestEngineInManifest:
-    def test_manifest_records_engine_core_strips_it(self):
-        from repro.obs.manifest import build_manifest, manifest_core
-
-        results = sweep(["base"], ["fft"], refs=2_000, scale=0.03125,
-                        engine="batch")
-        manifest = build_manifest(
-            results, refs=2_000, seed=1, scale=0.03125, jobs=1, engine="batch"
-        )
-        assert manifest["parameters"]["engine"] == "batch"
-        core = manifest_core(manifest)
-        assert "engine" not in core["parameters"]
-        # bit-identical engines => bit-identical core manifests
-        interp_results = sweep(["base"], ["fft"], refs=2_000, scale=0.03125)
-        interp_manifest = build_manifest(
-            interp_results, refs=2_000, seed=1, scale=0.03125, jobs=1,
-            engine="interp",
-        )
-        assert json.dumps(manifest_core(interp_manifest), sort_keys=True) == \
-            json.dumps(core, sort_keys=True)
-
-
-class TestEngineComparison:
-    def test_report_and_json(self):
-        from repro.sim.parallel import (
-            engine_comparison_json,
-            engine_comparison_report,
-            timed_sweep,
-        )
-
-        configs = resolve_sweep_configs(["base"])
-        interp, wi = timed_sweep(configs, ["fft"], refs=3_000, scale=0.03125)
-        batch, wb = timed_sweep(
-            configs, ["fft"], refs=3_000, scale=0.03125, engine="batch"
-        )
-        report = engine_comparison_report(interp, batch)
-        assert "speedup" in report and "base" in report
-        doc = engine_comparison_json(interp, batch, wi, wb, jobs=1)
-        cell = doc["cells"]["base/fft"]
-        assert cell["speedup"] > 0
-        assert doc["total_speedup"] > 0
-        assert set(doc["engines"]) == {"interp", "batch"}
-        names = [e["name"] for e in doc["engines"]["batch"]["benchmarks"]]
-        assert "perf::sweep_total" in names

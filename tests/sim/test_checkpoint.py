@@ -175,6 +175,31 @@ class TestResume:
         lines = (run / "journal.jsonl").read_text().strip().splitlines()
         assert len(lines) == len(first)
 
+    @pytest.mark.parametrize("engine", ["interp", "batch"])
+    def test_header_with_engine_field_resumes(self, tmp_path, engine):
+        # run.json files from versions with a selectable execution engine
+        # carry an "engine" key; only the keys written today are compared
+        run = tmp_path / "run"
+        first = _sweep(run_dir=run)
+        header_path = run / "run.json"
+        header = json.loads(header_path.read_text())
+        assert "engine" not in header
+        header["engine"] = engine
+        header_path.write_text(json.dumps(header))
+
+        clear_trace_cache()
+        recovery = RecoveryLog()
+        resumed = _sweep(run_dir=run, recovery=recovery)
+        _assert_identical(first, resumed)
+        assert recovery.counts.get("cells_resumed", 0) == 1
+        lines = (run / "journal.jsonl").read_text().strip().splitlines()
+        assert len(lines) == len(first)
+        with pytest.raises(CheckpointError) as excinfo:
+            sweep(SYSTEMS, BENCHES, refs=REFS * 2, scale=SCALE, run_dir=str(run))
+        message = str(excinfo.value)
+        assert "parameters (refs)" in message
+        assert message.endswith("matching --refs/--seed/--scale/systems/benchmarks")
+
     def test_resume_parallel_matches_scratch(self, tmp_path):
         scratch = _sweep()
         clear_trace_cache()

@@ -375,6 +375,9 @@ class TestManifests:
         assert "jobs" not in core["parameters"]
         for cell in core["cells"]:
             assert "elapsed_s" not in cell
+        # older manifests record an execution engine; their core matches
+        legacy = dict(m, parameters=dict(m["parameters"], engine="batch"))
+        assert manifest_core(legacy) == core
 
     def test_write_manifest_atomic_and_named(self, tmp_path):
         results, wall = self._sweep()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.check import DEFAULT_VARIANTS, fuzz, tiny_check_config
 from repro.errors import ConfigurationError
 from repro.sim import runner
 from repro.sim.parallel import chunk_cells, plan_cells, throughput_report
@@ -19,8 +20,8 @@ from repro.trace import io as trace_io
 from repro.trace.record import TraceSpec
 from repro.trace.synthetic import generate_trace
 
-from repro.sim.simulator import Simulator
-from repro.system.builder import build_machine, system_config
+from repro.system.builder import system_config
+from tests.sim.test_batch import assert_identical, run_and_step
 
 SYSTEMS = ["base", "vb"]
 BENCHES = ["lu", "radix"]
@@ -29,27 +30,25 @@ REFS = 8_000
 
 class TestRunStepEquivalence:
     """run()'s inlined fast path is an optimisation of step(), never a
-    semantic change: identical counters, reference by reference."""
+    semantic change: identical counters, clock and final machine state."""
 
     @pytest.mark.parametrize("system", ["base", "vb", "vpp5", "ncd", "vxp5"])
     def test_run_matches_step(self, system):
         trace = get_trace("barnes", refs=6_000)
-        config = system_config(system)
+        fast, slow = run_and_step(
+            system_config(system), trace.dataset_bytes, trace
+        )
+        assert_identical(fast, slow)
 
-        fast = Simulator(build_machine(config, dataset_bytes=trace.dataset_bytes))
-        fast.run(trace)
-
-        slow = Simulator(build_machine(config, dataset_bytes=trace.dataset_bytes))
-        if trace.placement:
-            for page, home in trace.placement.items():
-                slow._placement.touch(page, home)
-        for pid, addr, w in zip(
-            trace.pids.tolist(), trace.addrs.tolist(), trace.writes.tolist()
-        ):
-            slow.step(pid, addr, bool(w))
-
-        assert fast.counters == slow.counters
-        assert fast.now == slow.now
+    @pytest.mark.parametrize("system", DEFAULT_VARIANTS)
+    @pytest.mark.parametrize("strategy", fuzz.STRATEGIES)
+    def test_fuzz_case_run_matches_step(self, system, strategy):
+        # the fuzzer's adversarial interleavings on the tiny check machine:
+        # upgrade races, victim storms and relocation edges through run()
+        case = fuzz.generate_case(system, 11, strategy)
+        config, dataset = tiny_check_config(system, n_blocks=case.n_blocks)
+        fast, slow = run_and_step(config, dataset, fuzz.case_trace(case))
+        assert_identical(fast, slow)
 
 
 class TestParallelEquivalence:

@@ -56,6 +56,26 @@ class TestSweep:
         ) == 0
 
 
+class TestMalformedJobsEnv:
+    """A non-integer REPRO_JOBS fails only the commands that read it."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["simulate", "base", "fft", "--refs", "5000"], 0),
+        (["sweep", "base", "fft", "--refs", "5000", "--jobs", "1"], 0),
+        (["sweep", "base", "fft", "--refs", "5000"], 2),
+        (["explore", "--benchmarks", "fft", "--refs", "5000", "--no-simulate"], 2),
+        (["experiment", "fig04", "--refs", "5000"], 2),
+    ], ids=["simulate", "sweep-jobs-flag", "sweep", "explore", "experiment"])
+    def test_clean_error_only_where_read(self, capsys, monkeypatch, argv, status):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        # `experiment --refs` exports REPRO_BENCH_REFS; restore it afterwards
+        monkeypatch.setenv("REPRO_BENCH_REFS", "5000")
+        assert main(argv) == status
+        if status:
+            err = capsys.readouterr().err
+            assert "error:" in err and "REPRO_JOBS" in err
+
+
 class TestExperiment:
     def test_table2(self, capsys):
         assert main(["experiment", "table2"]) == 0
