@@ -146,19 +146,27 @@ async def request_with_retry(
     timeout: float = 10.0,
     attempts: int = 10,
     backoff: float = 0.25,
+    deadline: Optional[float] = None,
     stats: Optional["PassStats"] = None,
 ) -> Tuple[int, dict]:
     """One request with bounded retries: connection faults and 503s.
 
-    A dead/restarting server (connection refused/reset, timeout) and an
-    explicit ``503`` are both retried with exponential backoff — the
-    latter honouring the server's ``Retry-After`` hint.  Anything else
-    (including 4xx/5xx) is returned to the caller verbatim.  Exhausting
-    the budget raises :class:`RequestFailed`, so a wedged server fails
-    the run loudly instead of hanging it.
+    A dead/restarting server (connection refused/reset, timeout) is
+    retried with exponential backoff, at most ``attempts`` times.  An
+    explicit ``503`` is retried after the server's ``Retry-After`` hint:
+    until ``deadline`` (a ``time.perf_counter()`` reading) when one is
+    given, since a saturated server keeps shedding load for as long as
+    its queue stays full and a fixed count fails the clients that are
+    merely late in line; otherwise within the same ``attempts`` budget.
+    Anything else (including 4xx/5xx) is returned to the caller verbatim.
+    Exhausting the budget raises :class:`RequestFailed`, so a wedged
+    server fails the run loudly instead of hanging it.
     """
     last: object = None
-    for attempt in range(attempts):
+    failures = 0  # tries counted against ``attempts``
+    tries = 0
+    while True:
+        tries += 1
         try:
             status, payload, headers = await http_request(
                 host, port, method, path, body, timeout
@@ -167,21 +175,27 @@ async def request_with_retry(
             last = f"{type(exc).__name__}: {exc}"
             if stats is not None:
                 stats.conn_retries += 1
-            await asyncio.sleep(min(backoff * (2 ** attempt), MAX_BACKOFF_S))
-            continue
-        if status == 503:
+            failures += 1
+            delay = backoff * (2 ** (tries - 1))
+        else:
+            if status != 503:
+                return status, payload
             last = f"503: {payload.get('error', '?')}"
             if stats is not None:
                 stats.rejected += 1
             try:
-                delay = float(headers.get("retry-after", ""))
+                delay = max(float(headers.get("retry-after", "")), backoff)
             except ValueError:
-                delay = backoff * (2 ** attempt)
-            await asyncio.sleep(min(max(delay, backoff), MAX_BACKOFF_S))
-            continue
-        return status, payload
+                delay = backoff * (2 ** (tries - 1))
+            if deadline is None:
+                failures += 1
+            elif time.perf_counter() + min(delay, MAX_BACKOFF_S) > deadline:
+                break
+        if failures >= attempts:
+            break
+        await asyncio.sleep(min(delay, MAX_BACKOFF_S))
     raise RequestFailed(
-        f"{method} {path} failed after {attempts} attempt(s); last: {last}"
+        f"{method} {path} failed after {tries} attempt(s); last: {last}"
     )
 
 
@@ -456,16 +470,16 @@ async def run_one(
 ) -> None:
     async with sem:
         t0 = time.perf_counter()
+        deadline = t0 + job_timeout
         try:
             status, job = await request_with_retry(
                 server["host"], server["port"], "POST", "/jobs", spec,
-                timeout=request_timeout, stats=stats,
+                timeout=request_timeout, deadline=deadline, stats=stats,
             )
             if status != 202:
                 stats.failed += 1
                 return
             job_id = job["id"]
-            deadline = time.perf_counter() + job_timeout
             while True:
                 status, j = await request_with_retry(
                     server["host"], server["port"], "GET", f"/jobs/{job_id}",

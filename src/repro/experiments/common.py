@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
+from ..params import env_number
 from ..sim.parallel import env_jobs
 from ..sim.results import SimulationResult
 from ..sim.runner import DEFAULT_REFS, DEFAULT_SCALE, sweep
@@ -41,10 +42,7 @@ SCALED_THRESHOLD_64 = 16
 
 def default_refs() -> int:
     """Trace length for experiments (env ``REPRO_BENCH_REFS`` or 400k)."""
-    raw = os.environ.get("REPRO_BENCH_REFS")
-    if raw:
-        return max(32, int(raw))
-    return DEFAULT_REFS
+    return max(32, env_number("REPRO_BENCH_REFS", int, DEFAULT_REFS))
 
 
 def default_jobs() -> int:

@@ -26,11 +26,11 @@ import hashlib
 import json
 import os
 import subprocess
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
+from ..durable import write_atomic
 from ..trace.io import trace_cache_key
 from ..trace.record import TraceSpec
 from .metrics import aggregate_metrics
@@ -187,23 +187,8 @@ def write_manifest(
     name: str = "sweep",
 ) -> Path:
     """Atomically write ``<name>-manifest.json`` under ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{name}-manifest.json"
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.stem + ".", suffix=".tmp.json", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    path = Path(directory) / f"{name}-manifest.json"
+    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -26,12 +26,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..sim.checkpoint import (
-    JOURNAL_NAME,
-    RECOVERY_NAME,
-    iter_journal_lines,
-    read_run_header,
-)
+from ..durable import read_jsonl
+from ..sim.checkpoint import JOURNAL_NAME, RECOVERY_NAME, read_run_header
 
 
 class SweepProgress:
@@ -46,7 +42,7 @@ class SweepProgress:
         self.header_present = bool(header)
         #: (system, benchmark) -> journal record (newest wins, like resume)
         self.done: Dict[Tuple[str, str], dict] = {}
-        for rec in iter_journal_lines(self.run_dir / JOURNAL_NAME):
+        for rec in read_jsonl(self.run_dir / JOURNAL_NAME):
             try:
                 key = (str(rec["system"]), str(rec["benchmark"]))
             except KeyError:
@@ -54,7 +50,7 @@ class SweepProgress:
             self.done[key] = rec
         self.recovery_counts: Dict[str, int] = {}
         self.recovery_last: Optional[dict] = None
-        for rec in iter_journal_lines(self.run_dir / RECOVERY_NAME):
+        for rec in read_jsonl(self.run_dir / RECOVERY_NAME):
             kind = str(rec.get("kind", "?"))
             self.recovery_counts[kind] = self.recovery_counts.get(kind, 0) + 1
             self.recovery_last = rec

@@ -46,6 +46,7 @@ import os
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional
 
+from ..params import env_number
 from .metrics import Histogram, Snapshot, merge_snapshots
 
 #: process-wide enable switch (inherited by sweep worker processes)
@@ -89,10 +90,7 @@ def profiling_enabled() -> bool:
 
 def profile_window() -> int:
     """The timeline window size: ``$REPRO_PROFILE_WINDOW`` or the default."""
-    raw = os.environ.get(PROFILE_WINDOW_ENV, "").strip()
-    if not raw:
-        return DEFAULT_WINDOW
-    window = int(raw)
+    window = env_number(PROFILE_WINDOW_ENV, int, DEFAULT_WINDOW)
     if window <= 0:
         raise ValueError(f"{PROFILE_WINDOW_ENV} must be a positive integer")
     return window

@@ -16,7 +16,7 @@ Design points:
   rendered cumulatively with the standard ``le`` label (upper-inclusive),
   ``_sum`` and ``_count`` series.
 - **Snapshot persistence.**  ``save()`` writes an atomic JSON snapshot
-  (write-to-temp + ``os.replace``, the same idiom as the sweep journal);
+  (:func:`repro.durable.write_atomic`, like every other artifact);
   ``load()`` / ``merge()`` *add* counter and histogram state, so a
   restarted service resumes its tallies instead of forgetting them.
 - **No dependencies, thread-safe.**  One lock guards all mutation; the
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from ..durable import read_json, write_atomic
 
 __all__ = [
     "WallClockRegistry",
@@ -365,40 +365,15 @@ class WallClockRegistry:
 
     def save(self, path: "os.PathLike[str]") -> bool:
         """Atomically persist the snapshot; returns False on I/O trouble."""
-        path = Path(path)
         try:
-            payload = json.dumps(self.snapshot(), sort_keys=True, indent=0)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
+            write_atomic(path, json.dumps(self.snapshot(), sort_keys=True, indent=0))
             return True
         except (OSError, ValueError):
             return False
 
     def load(self, path: "os.PathLike[str]") -> bool:
         """Merge a persisted snapshot if one exists; returns True on merge."""
-        path = Path(path)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return False
-        try:
-            snap = json.loads(raw)
-        except ValueError:
-            return False
+        snap = read_json(path)
         if not isinstance(snap, dict) or snap.get("version") != _SNAPSHOT_VERSION:
             return False
         self.merge(snap)

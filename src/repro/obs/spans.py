@@ -34,13 +34,14 @@ Chrome/Perfetto trace-event JSON as that exporter (validated by the same
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 import uuid
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
+
+from ..durable import JsonlSink, read_jsonl
 
 __all__ = [
     "SPANS_NAME",
@@ -119,14 +120,7 @@ class SpanRecorder:
         self.default_parent = default_parent
         self.spans: List[JsonDict] = []
         self._lock = threading.Lock()
-        self._sink = None
-        if sink_path is not None:
-            path = Path(sink_path)
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                self._sink = open(path, "a", encoding="utf-8")
-            except OSError:
-                self._sink = None  # telemetry never blocks the job
+        self._sink = JsonlSink(sink_path) if sink_path is not None else None
 
     def new_id(self) -> str:
         return uuid.uuid4().hex[:12]
@@ -181,24 +175,15 @@ class SpanRecorder:
         return _SpanContext(self, name, kwargs)
 
     def _write(self, rec: JsonDict) -> None:
-        line = json.dumps(rec, sort_keys=True)
         with self._lock:
             self.spans.append(rec)
             if self._sink is not None:
-                try:
-                    self._sink.write(line + "\n")
-                    self._sink.flush()
-                except (OSError, ValueError):
-                    self._sink = None
+                self._sink.write(rec)
 
     def close(self) -> None:
         with self._lock:
             if self._sink is not None:
-                try:
-                    self._sink.close()
-                except OSError:
-                    pass
-                self._sink = None
+                self._sink.close()
 
     def __enter__(self) -> "SpanRecorder":
         return self
@@ -241,15 +226,10 @@ def append_spans(
     records = list(records)
     if not records:
         return True
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    except OSError:
-        return False
-    return True
+    sink = JsonlSink(path)
+    ok = all(sink.write(rec) for rec in records)
+    sink.close()
+    return ok
 
 
 def load_spans(source: Union[str, "os.PathLike[str]"]) -> List[JsonDict]:
@@ -264,22 +244,7 @@ def load_spans(source: Union[str, "os.PathLike[str]"]) -> List[JsonDict]:
             if candidate.exists():
                 path = candidate
                 break
-    spans: List[JsonDict] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    continue  # torn tail
-                if isinstance(rec, dict) and "span_id" in rec:
-                    spans.append(rec)
-    except OSError:
-        return []
-    return spans
+    return [rec for rec in read_jsonl(path) if "span_id" in rec]
 
 
 def span_tree_problems(spans: List[JsonDict]) -> List[str]:

@@ -17,10 +17,29 @@ All sizes are in bytes unless a suffix says otherwise.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import ConfigurationError
+
+
+def env_number(
+    name: str, kind: type = int, default: Optional[Union[int, float]] = None
+) -> Optional[Union[int, float]]:
+    """``$name`` parsed as ``kind`` (``int`` or ``float``), or ``default``
+    when unset or blank.  A value that does not parse raises
+    :class:`ConfigurationError` naming the variable (a CLI ``error:``
+    line, exit 2); range checks stay with each caller."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{name} must be {noun}, got {raw!r}") from None
+
 
 # --------------------------------------------------------------------------
 # Machine geometry defaults (Sec. 5.1)

@@ -60,7 +60,8 @@ from ..errors import JobSpecError, ServiceUnavailableError
 from ..faults import active_plan
 from ..obs.registry import METRICS_CONTENT_TYPE
 from ..obs.spans import new_request_id, request_root_span_id
-from .jobs import Job, JobManager, _env_float
+from ..params import env_number
+from .jobs import Job, JobManager
 
 #: request bodies larger than this are rejected with 413 (a sweep spec is
 #: a few hundred bytes; anything bigger is a mistake or an attack)
@@ -111,7 +112,10 @@ class ServiceApp:
         self.manager = manager
         self.request_timeout = (
             request_timeout if request_timeout is not None
-            else _env_float(REQUEST_TIMEOUT_ENV, DEFAULT_REQUEST_TIMEOUT)
+            else env_number(REQUEST_TIMEOUT_ENV, float, DEFAULT_REQUEST_TIMEOUT)
+        )
+        self.gc_interval_s = (
+            env_number(GC_INTERVAL_ENV, float, DEFAULT_GC_INTERVAL) or DEFAULT_GC_INTERVAL
         )
         manager.metrics.describe(
             "repro_http_requests_total",
@@ -609,10 +613,7 @@ async def serve(
             loop.add_signal_handler(sig, _on_signal)
         except (NotImplementedError, RuntimeError):
             pass  # non-main thread or platform without signal support
-    gc_interval = _env_float(GC_INTERVAL_ENV, DEFAULT_GC_INTERVAL)
-    gc_task = asyncio.ensure_future(
-        _gc_loop(manager, gc_interval or DEFAULT_GC_INTERVAL)
-    )
+    gc_task = asyncio.ensure_future(_gc_loop(manager, app.gc_interval_s))
     try:
         async with server:
             await stop.wait()

@@ -29,18 +29,17 @@ lock-guarded accessors.
 from __future__ import annotations
 
 import json
-import os
 import shutil
-import tempfile
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..durable import read_json, write_atomic
 from ..errors import (
     JobCancelledError,
     JobSpecError,
@@ -57,6 +56,7 @@ from ..obs.spans import (
     request_root_span_id,
     run_span_id,
 )
+from ..params import env_number
 from ..sim.parallel import RecoveryLog, cache_summary, run_parallel_sweep
 from ..sim.runner import DEFAULT_SCALE, resolve_sweep_configs
 from ..trace.synthetic import BENCHMARK_NAMES
@@ -74,28 +74,9 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 MAX_QUEUED_JOBS_ENV = "REPRO_MAX_QUEUED_JOBS"
 MAX_INFLIGHT_CELLS_ENV = "REPRO_MAX_INFLIGHT_CELLS"
 JOB_TTL_ENV = "REPRO_JOB_TTL"
+DRAIN_TIMEOUT_ENV = "REPRO_DRAIN_TIMEOUT"
 DEFAULT_MAX_QUEUED_JOBS = 64
 DEFAULT_MAX_INFLIGHT_CELLS = 4096
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: Optional[float]) -> Optional[float]:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
 
 
 @dataclass(frozen=True)
@@ -230,22 +211,8 @@ class Job:
         }
 
 
-def _atomic_write_json(path: Path, payload: Dict[str, object]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.stem + ".", suffix=".tmp.json", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+def _write_json(path: Path, payload: Dict[str, object]) -> None:
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 class JobManager:
@@ -292,18 +259,20 @@ class JobManager:
         # admission control: 0 disables a bound; env fills in None
         self.max_queued_jobs = (
             max_queued_jobs if max_queued_jobs is not None
-            else _env_int(MAX_QUEUED_JOBS_ENV, DEFAULT_MAX_QUEUED_JOBS)
+            else env_number(MAX_QUEUED_JOBS_ENV, int, DEFAULT_MAX_QUEUED_JOBS)
         )
         self.max_inflight_cells = (
             max_inflight_cells if max_inflight_cells is not None
-            else _env_int(MAX_INFLIGHT_CELLS_ENV, DEFAULT_MAX_INFLIGHT_CELLS)
+            else env_number(MAX_INFLIGHT_CELLS_ENV, int, DEFAULT_MAX_INFLIGHT_CELLS)
         )
         #: seconds a terminal job (and its directory) outlives completion;
         #: ``None``/0 keeps them forever
         self.job_ttl_s = (
             job_ttl_s if job_ttl_s is not None
-            else _env_float(JOB_TTL_ENV, None)
+            else env_number(JOB_TTL_ENV, float)
         )
+        #: seconds :meth:`drain` waits for running jobs when not told
+        self.drain_timeout_s = env_number(DRAIN_TIMEOUT_ENV, float, 30.0) or 30.0
         self.retry_after_s = float(retry_after_s)
         # rejected/expired are seeded from the persisted registry snapshot
         # and incremented in lockstep with it, which is what fixes the
@@ -381,7 +350,7 @@ class JobManager:
         """
         self.begin_drain()
         if timeout is None:
-            timeout = _env_float("REPRO_DRAIN_TIMEOUT", 30.0) or 30.0
+            timeout = self.drain_timeout_s
         executor, self._executor = self._executor, None
         if executor is not None:
             # cancel pending futures: queued jobs are not started, their
@@ -728,11 +697,12 @@ class JobManager:
     ) -> None:
         """Terminal transition to ``state``.
 
-        The job is counted and the registry snapshot saved *before*
-        ``state`` is published, so a client that sees the job finished
-        also finds it in ``/metrics`` and in the snapshot a SIGKILL leaves
-        behind.  The gauges follow the publish in memory; a restart
-        recomputes them and the next save persists them.
+        The job is counted, the registry snapshot saved and ``job.json``
+        written *before* ``state`` is published, so a client that sees the
+        job finished also finds it in ``/metrics``, in the snapshot a
+        SIGKILL leaves behind and in ``job.json``.  The gauges follow the
+        publish in memory; a restart recomputes them and the next save
+        persists them.
         """
         job.finished_unix = time.time()
         if add_run_span:
@@ -747,8 +717,8 @@ class JobManager:
             )
         self.metrics.inc("repro_jobs_completed_total", labels={"state": state})
         self._save_metrics()
+        self._persist(replace(job, state=state))
         job.state = state
-        self._persist(job)
         self._emit(event, job)
         self._update_gauges()
 
@@ -768,7 +738,7 @@ class JobManager:
                     "traffic_blocks": r.traffic_blocks,
                 }
             )
-        _atomic_write_json(
+        _write_json(
             self.job_dir(job.id) / "result.json",
             {"job_id": job.id, "cells": cells, "cache": job.cache},
         )
@@ -782,7 +752,7 @@ class JobManager:
         return self.job_dir(job_id) / "run"
 
     def _persist(self, job: Job) -> None:
-        _atomic_write_json(self.job_dir(job.id) / "job.json", job.to_dict())
+        _write_json(self.job_dir(job.id) / "job.json", job.to_dict())
 
     def _emit(self, kind: str, job: Job) -> None:
         if self.tracer is not None:
@@ -830,11 +800,7 @@ class JobManager:
 
     def result_payload(self, job_id: str) -> Optional[Dict[str, object]]:
         """The persisted ``result.json`` of a finished job, or ``None``."""
-        try:
-            raw = (self.job_dir(job_id) / "result.json").read_text(encoding="utf-8")
-            payload = json.loads(raw)
-        except (OSError, ValueError):
-            return None
+        payload = read_json(self.job_dir(job_id) / "result.json")
         return payload if isinstance(payload, dict) else None
 
     def stats(self) -> Dict[str, object]:

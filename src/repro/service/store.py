@@ -12,10 +12,10 @@ key (benchmark, refs, seed, scale, format version).  Everything that
   configuration share one entry;
 * worker counts, retries, wall-clock timings.
 
-Entries are single JSON files named by their key, written with the same
-atomic write-then-rename + digest-verify + quarantine discipline as the
-trace cache (:mod:`repro.trace.io`): a crashed writer can never leave a
-torn entry for other readers, a corrupt or tampered entry is renamed
+Entries are single JSON files named by their key, written and
+quarantined through the same :mod:`repro.durable` helpers as the trace
+cache (:mod:`repro.trace.io`) and digest-verified on read: a crashed
+writer can never leave a torn entry, a corrupt or tampered entry is renamed
 ``*.corrupt`` for post-mortem and the cell transparently re-simulated,
 and concurrent writers racing on one key are harmless (last rename wins,
 both bodies are identical by determinism).
@@ -26,14 +26,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from ..durable import cache_dir, quarantine, remove_files, write_atomic
 from ..faults import active_plan
-from ..params import SystemConfig
+from ..params import SystemConfig, env_number
 from ..stats import Counters
 from ..trace.io import trace_cache_key
 from ..trace.record import TraceSpec
@@ -48,29 +48,10 @@ SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
 STORE_MAX_BYTES_ENV = "REPRO_STORE_MAX_BYTES"
 
 
-def _env_max_bytes() -> Optional[int]:
-    raw = os.environ.get(STORE_MAX_BYTES_ENV)
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
 def service_data_dir() -> Path:
-    """The service's default data directory.
-
-    Resolution order: ``$REPRO_SERVICE_DIR``, ``$XDG_CACHE_HOME/repro/service``,
-    ``~/.cache/repro/service`` — the same ladder the trace cache climbs.
-    """
-    env = os.environ.get(SERVICE_DIR_ENV)
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "service"
+    """The service's default data directory: ``$REPRO_SERVICE_DIR``, else
+    the ``service`` :func:`repro.durable.cache_dir`."""
+    return cache_dir(SERVICE_DIR_ENV, "service")
 
 
 def result_key(
@@ -137,8 +118,11 @@ class ResultStore:
     ) -> None:
         self.root = Path(root) if root is not None else service_data_dir() / "store"
         #: size budget for eviction; ``None`` = unbounded.  Explicit
-        #: argument wins over ``$REPRO_STORE_MAX_BYTES``.
-        self.max_bytes = max_bytes if max_bytes is not None else _env_max_bytes()
+        #: argument wins over ``$REPRO_STORE_MAX_BYTES`` (0/unset = unbounded).
+        if max_bytes is None:
+            budget = env_number(STORE_MAX_BYTES_ENV, int, 0)
+            max_bytes = budget if budget > 0 else None
+        self.max_bytes = max_bytes
         #: optional :class:`repro.obs.registry.WallClockRegistry`; every
         #: tally below is mirrored into ``repro_store_<field>_total`` so
         #: the counts survive restarts via the registry snapshot
@@ -251,10 +235,10 @@ class ResultStore:
         bit-identical reconstruction.  Callers that simulated exactly
         what they asked for may omit them.
 
-        Atomic (temp file + ``os.replace``), so readers and concurrent
-        writers of the same key never observe a torn entry.  I/O failure
-        (full disk) returns ``None`` rather than raising: the store is an
-        accelerator, never a single point of failure.
+        Atomic (:func:`repro.durable.write_atomic`), so readers and
+        concurrent writers of the same key never observe a torn entry.
+        I/O failure (full disk) returns ``None`` rather than raising: the
+        store is an accelerator, never a single point of failure.
         """
         from ..obs.manifest import config_digest, counters_digest
 
@@ -285,21 +269,7 @@ class ResultStore:
         try:
             if plan is not None:
                 plan.maybe_disk_full(f"store-put/{key}")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=key[:8] + ".", suffix=".tmp.json", dir=path.parent
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(body, fh, sort_keys=True)
-                    fh.write("\n")
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            write_atomic(path, json.dumps(body, sort_keys=True) + "\n")
         except OSError as exc:
             self._enter_degraded(exc)
             return None
@@ -414,25 +384,15 @@ class ResultStore:
     def _quarantine(self, path: Path, exc: BaseException) -> None:
         from ..trace.io import note_recovery
 
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
+        # an entry that can be neither renamed nor deleted stays and keeps
+        # reporting misses: a broken store degrades to re-simulation
+        if quarantine(path) is None:
+            self._note("quarantine_failed")
+            note_recovery("result_quarantine_failed",
+                          f"{path.name}: could not quarantine or delete")
+        else:
             self._note("quarantined")
             note_recovery("result_quarantined", f"{path.name}: {exc}")
-        except OSError:
-            # read-only root, or a directory squatting on the .corrupt
-            # name: fall back to deleting the bad entry; if even that
-            # fails the entry stays (and keeps reporting misses) — a
-            # broken store degrades to re-simulation, never to a crash
-            try:
-                path.unlink()
-                self._note("quarantined")
-                note_recovery("result_quarantined", f"{path.name}: {exc}")
-            except OSError:
-                self._note("quarantine_failed")
-                note_recovery(
-                    "result_quarantine_failed",
-                    f"{path.name}: could not quarantine or delete",
-                )
 
     def _note(self, field: str, amount: int = 1) -> None:
         with self._lock:
@@ -451,17 +411,7 @@ class ResultStore:
 
     def clear(self) -> int:
         """Delete every entry (and quarantined file); returns the count."""
-        if not self.root.is_dir():
-            return 0
-        removed = 0
-        for pattern in ("*/*.json", "*/*.json.corrupt"):
-            for entry in self.root.glob(pattern):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return remove_files(self.root, ("*/*.json", "*/*.json.corrupt"))
 
     def stats(self) -> Dict[str, object]:
         """The in-process tally, plus the degradation flag.

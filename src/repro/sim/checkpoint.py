@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import IO, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from ..durable import read_json, write_atomic
 from ..errors import CheckpointError
+from ..obs.manifest import config_digest, counters_digest
 from ..params import SystemConfig
 from ..stats import Counters
 from .results import SimulationResult
@@ -51,47 +52,7 @@ def read_run_header(run_dir: Union[str, Path]) -> Optional[dict]:
     Returns ``None`` when the header is missing or unparsable — monitors
     observing a directory mid-creation must tolerate both, never raise.
     """
-    path = Path(run_dir) / HEADER_NAME
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-
-
-def iter_journal_lines(path: Union[str, Path]):
-    """Yield parsed records from a (possibly live) JSONL file.
-
-    Torn or half-written lines — normal while a sweep is appending — are
-    skipped, exactly like :meth:`SweepJournal.load` treats them; a missing
-    file yields nothing.  Used by ``repro top`` on both ``journal.jsonl``
-    and ``recovery.jsonl``.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(rec, dict):
-                    yield rec
-    except OSError:
-        return
-
-
-def _config_digest(config: SystemConfig) -> str:
-    from ..obs.manifest import config_digest
-
-    return config_digest(config)
-
-
-def _counters_digest(counters: Counters) -> str:
-    from ..obs.manifest import counters_digest
-
-    return counters_digest(counters)
+    return read_json(Path(run_dir) / HEADER_NAME)
 
 
 class SweepJournal:
@@ -160,21 +121,7 @@ class SweepJournal:
                     f"or matching --refs/--seed/--scale/systems/benchmarks"
                 )
         else:
-            journal.run_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix="run.", suffix=".tmp.json", dir=journal.run_dir
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(params, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                os.replace(tmp_name, header_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            write_atomic(header_path, json.dumps(params, indent=2, sort_keys=True) + "\n")
         return journal
 
     @property
@@ -212,7 +159,7 @@ class SweepJournal:
         if not path.exists():
             return {}
         config_digests = {
-            name: _config_digest(config) for name, config in configs.items()
+            name: config_digest(config) for name, config in configs.items()
         }
         out: Dict[Tuple[str, str], SimulationResult] = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -247,7 +194,7 @@ class SweepJournal:
         if rec["config_sha"] != config_digests[system]:
             return None  # configuration changed since the cell ran
         counters = Counters(**{k: int(v) for k, v in rec["counters"].items()})
-        if _counters_digest(counters) != rec["counters_sha"]:
+        if counters_digest(counters) != rec["counters_sha"]:
             return None  # bit-rot or a hand-edited journal
         return SimulationResult(
             system=system,
@@ -283,9 +230,9 @@ class SweepJournal:
             "refs": result.refs,
             "seed": result.seed,
             "scale": scale,
-            "config_sha": _config_digest(result.config),
+            "config_sha": config_digest(result.config),
             "counters": result.counters.as_dict(),
-            "counters_sha": _counters_digest(result.counters),
+            "counters_sha": counters_digest(result.counters),
             "metrics": result.metrics,
             "elapsed_s": result.elapsed_s,
         }

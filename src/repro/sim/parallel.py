@@ -66,6 +66,7 @@ from typing import (
 )
 
 from .. import faults
+from ..durable import JsonlSink
 from ..errors import (
     CellTimeoutError,
     CheckpointError,
@@ -73,7 +74,7 @@ from ..errors import (
     JobCancelledError,
     RetryExhaustedError,
 )
-from ..params import SystemConfig
+from ..params import SystemConfig, env_number
 from ..trace import io as trace_io
 from .checkpoint import SweepJournal
 from .results import SimulationResult
@@ -97,15 +98,8 @@ def env_jobs() -> Optional[int]:
     A value that is not an integer raises :class:`ConfigurationError`
     naming the variable, which the CLI reports as an ``error:`` line.
     """
-    raw = os.environ.get("REPRO_JOBS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_JOBS must be an integer worker count, got {raw!r}"
-        ) from None
+    jobs = env_number("REPRO_JOBS", int)
+    return None if jobs is None else max(1, jobs)
 
 
 def default_jobs() -> int:
@@ -146,14 +140,11 @@ def resolve_policy(
 ) -> SweepPolicy:
     """Fold explicit knobs over the environment defaults, validating."""
     if max_retries is None:
-        raw = os.environ.get(MAX_RETRIES_ENV)
-        max_retries = int(raw) if raw else DEFAULT_MAX_RETRIES
+        max_retries = env_number(MAX_RETRIES_ENV, int, DEFAULT_MAX_RETRIES)
     if cell_timeout is None:
-        raw = os.environ.get(CELL_TIMEOUT_ENV)
-        cell_timeout = float(raw) if raw else None
+        cell_timeout = env_number(CELL_TIMEOUT_ENV, float)
     if backoff_s is None:
-        raw = os.environ.get(BACKOFF_ENV)
-        backoff_s = float(raw) if raw is not None and raw != "" else DEFAULT_BACKOFF_S
+        backoff_s = env_number(BACKOFF_ENV, float, DEFAULT_BACKOFF_S)
     if max_retries < 0:
         raise ConfigurationError("max_retries must be >= 0")
     if cell_timeout is not None and cell_timeout <= 0:
@@ -182,7 +173,7 @@ class RecoveryLog:
         self.counts: Dict[str, int] = {}
         self.actions: List[Dict[str, object]] = []
         self.tracer = tracer
-        self._sink = None
+        self._sink: Optional[JsonlSink] = None
         #: HTTP correlation id stamped into every action (provenance only)
         self.request_id: Optional[str] = None
 
@@ -193,18 +184,11 @@ class RecoveryLog:
         failure to open or write the sink never sinks the sweep — the log
         silently drops the sink and keeps counting in memory.
         """
-        try:
-            self._sink = open(path, "a", encoding="utf-8")
-        except OSError:
-            self._sink = None
+        self._sink = JsonlSink(path)
 
     def close(self) -> None:
         if self._sink is not None:
-            try:
-                self._sink.close()
-            except OSError:
-                pass
-            self._sink = None
+            self._sink.close()
 
     def note(
         self, kind: str, system: str = "", benchmark: str = "", detail: str = ""
@@ -217,13 +201,7 @@ class RecoveryLog:
             action["request_id"] = self.request_id
         self.actions.append(action)
         if self._sink is not None:
-            import json as _json
-
-            try:
-                self._sink.write(_json.dumps(action, sort_keys=True) + "\n")
-                self._sink.flush()
-            except (OSError, ValueError):
-                self._sink = None  # a broken sink must not sink the sweep
+            self._sink.write(action)
         if self.tracer is not None:
             where = f"{system}/{benchmark}: " if system or benchmark else ""
             self.tracer.emit(kind, now=len(self.actions), detail=where + detail)

@@ -11,9 +11,9 @@ regenerating it per process.  Set ``REPRO_TRACE_CACHE`` to move the cache
 (e.g. to a tmpfs in CI) and :func:`clear_disk_trace_cache` to empty it.
 
 Integrity: every file carries a SHA-256 **payload digest** over the
-reference arrays and metadata, written atomically (temp file +
-``os.replace``) so a killed worker can never leave a half-written file
-for other workers to load.  :func:`load_trace` verifies the digest and
+reference arrays and metadata, written with :func:`repro.durable.write_atomic`
+so a killed worker can never leave a half-written file for other workers
+to load.  :func:`load_trace` verifies the digest and
 raises :class:`~repro.errors.CorruptTraceError` on mismatch; the disk
 cache converts any corruption into **quarantine + regenerate** (the bad
 file is renamed ``*.corrupt`` for post-mortem, the caller regenerates)
@@ -23,15 +23,15 @@ instead of crashing the sweep worker that tripped over it.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import os
-import tempfile
 import zipfile
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
 
+from ..durable import cache_dir, quarantine, remove_files, write_atomic
 from ..errors import CorruptTraceError, TraceError
 from .record import Trace, TraceSpec
 
@@ -55,12 +55,10 @@ def _payload_digest(
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     """Write a trace to ``path`` (``.npz``), atomically.
 
-    The bytes land in a temp file first and are renamed into place, so a
-    crash mid-write leaves either the old file or no file — never a torn
-    one.  The embedded payload digest lets :func:`load_trace` verify the
-    file end to end.
+    A crash mid-write leaves either the old file or no file — never a torn
+    one (:func:`repro.durable.write_atomic`).  The embedded payload digest
+    lets :func:`load_trace` verify the file end to end.
     """
-    path = Path(path)
     meta = {
         "version": _FORMAT_VERSION,
         "name": trace.name,
@@ -71,27 +69,15 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
         "meta": trace.meta,
     }
     meta["digest"] = _payload_digest(trace.pids, trace.addrs, trace.writes, meta)
-    # the suffix must stay ".npz" — np.savez would otherwise append one and
-    # the temp name handed to os.replace would no longer exist
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.stem + ".", suffix=".tmp.npz", dir=path.parent or Path(".")
+    buf = io.BytesIO()
+    np.savez_compressed(
+        buf,
+        pids=trace.pids,
+        addrs=trace.addrs,
+        writes=trace.writes,
+        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
     )
-    try:
-        os.close(fd)
-        np.savez_compressed(
-            tmp_name,
-            pids=trace.pids,
-            addrs=trace.addrs,
-            writes=trace.writes,
-            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        )
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, buf.getvalue())
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
@@ -169,17 +155,9 @@ def note_recovery(kind: str, detail: str) -> None:
 
 
 def trace_cache_dir() -> Path:
-    """Directory holding cached traces (not created until first store).
-
-    Resolution order: ``$REPRO_TRACE_CACHE``, ``$XDG_CACHE_HOME/repro/traces``,
-    ``~/.cache/repro/traces``.
-    """
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "traces"
+    """Directory holding cached traces (not created until first store):
+    ``$REPRO_TRACE_CACHE``, else the ``traces`` :func:`repro.durable.cache_dir`."""
+    return cache_dir(CACHE_ENV, "traces")
 
 
 def trace_cache_key(spec: TraceSpec) -> str:
@@ -200,12 +178,6 @@ def trace_cache_path(spec: TraceSpec) -> Path:
     return trace_cache_dir() / f"{spec.benchmark.lower()}-{trace_cache_key(spec)}.npz"
 
 
-def quarantine_path(path: Union[str, Path]) -> Path:
-    """Where a corrupt cache entry is parked for post-mortem inspection."""
-    path = Path(path)
-    return path.with_name(path.name + ".corrupt")
-
-
 def load_cached_trace(spec: TraceSpec) -> Optional[Trace]:
     """The cached trace for ``spec``, or None on miss/corruption.
 
@@ -221,14 +193,8 @@ def load_cached_trace(spec: TraceSpec) -> Optional[Trace]:
     try:
         return load_trace(path)
     except (TraceError, OSError, ValueError) as exc:
-        try:
-            os.replace(path, quarantine_path(path))
+        if quarantine(path) == "renamed":
             note_recovery("trace_quarantined", f"{path.name}: {exc}")
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
         return None
 
 
@@ -241,7 +207,6 @@ def store_cached_trace(spec: TraceSpec, trace: Trace) -> Path:
     from .. import faults
 
     path = trace_cache_path(spec)
-    path.parent.mkdir(parents=True, exist_ok=True)
     plan = faults.active_plan()
     if plan is not None:
         plan.maybe_io_error(f"store:{trace_cache_key(spec)}")
@@ -255,15 +220,4 @@ def store_cached_trace(spec: TraceSpec, trace: Trace) -> Path:
 
 def clear_disk_trace_cache() -> int:
     """Delete every cached trace (and quarantined entry); returns the count."""
-    root = trace_cache_dir()
-    if not root.is_dir():
-        return 0
-    removed = 0
-    for pattern in ("*.npz", "*.npz.corrupt"):
-        for entry in root.glob(pattern):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
+    return remove_files(trace_cache_dir(), ("*.npz", "*.npz.corrupt"))

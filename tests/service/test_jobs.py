@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from repro.errors import JobSpecError, ServiceUnavailableError
+from repro.errors import ConfigurationError, JobSpecError, ServiceUnavailableError
+from repro.service.app import ServiceApp
 from repro.service.jobs import Job, JobManager, JobSpec
 from repro.sim.runner import clear_trace_cache
 
@@ -327,6 +328,16 @@ class TestAdmissionControl:
         mgr = JobManager(data_dir=tmp_path / "svc")
         assert mgr.max_queued_jobs == 11
         assert mgr.max_inflight_cells == 222
+
+    @pytest.mark.parametrize("var", [
+        "REPRO_MAX_QUEUED_JOBS", "REPRO_MAX_INFLIGHT_CELLS", "REPRO_JOB_TTL",
+        "REPRO_DRAIN_TIMEOUT", "REPRO_STORE_MAX_BYTES", "REPRO_REQUEST_TIMEOUT",
+        "REPRO_GC_INTERVAL",
+    ])
+    def test_malformed_env_fails_construction(self, tmp_path, monkeypatch, var):
+        monkeypatch.setenv(var, "abc")
+        with pytest.raises(ConfigurationError, match=var):
+            ServiceApp(JobManager(data_dir=tmp_path / "svc"))
 
 
 class TestCancel:

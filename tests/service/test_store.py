@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.service.store import ResultStore, result_key, service_data_dir
 from repro.sim.runner import clear_trace_cache, simulate, sweep
 from repro.system.builder import system_config
@@ -181,12 +182,12 @@ class TestHousekeeping:
         assert service_data_dir() == tmp_path / "svc"
 
     def test_put_failure_returns_none(self, store, monkeypatch):
-        import repro.service.store as store_mod
+        import repro.durable as durable
 
         def boom(*a, **k):
             raise OSError("disk full")
 
-        monkeypatch.setattr(store_mod.tempfile, "mkstemp", boom)
+        monkeypatch.setattr(durable.tempfile, "mkstemp", boom)
         assert store.put(_simulate(), SCALE, refs=REFS, seed=SEED) is None
 
 
@@ -234,25 +235,27 @@ class TestEviction:
         assert ResultStore(tmp_path / "s").max_bytes == 12345
         monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "0")
         assert ResultStore(tmp_path / "s").max_bytes is None
-        monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "junk")
-        assert ResultStore(tmp_path / "s").max_bytes is None
+        for bad in ("junk", "1e9"):
+            monkeypatch.setenv("REPRO_STORE_MAX_BYTES", bad)
+            with pytest.raises(ConfigurationError, match="REPRO_STORE_MAX_BYTES"):
+                ResultStore(tmp_path / "s")
 
 
 class TestDegradation:
     """Full-disk / read-only roots degrade to re-simulation, never crash."""
 
     def _broken_writes(self, monkeypatch, errno_code):
-        import repro.service.store as store_mod
+        import repro.durable as durable
 
         state = {"broken": True}
-        real = store_mod.tempfile.mkstemp
+        real = durable.tempfile.mkstemp
 
         def flaky(*a, **k):
             if state["broken"]:
                 raise OSError(errno_code, os.strerror(errno_code))
             return real(*a, **k)
 
-        monkeypatch.setattr(store_mod.tempfile, "mkstemp", flaky)
+        monkeypatch.setattr(durable.tempfile, "mkstemp", flaky)
         return state
 
     def test_enospc_enters_degraded_then_recovers(self, store, monkeypatch):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.durable import read_jsonl as iter_journal_lines
 from repro.obs.manifest import counters_digest, manifest_core
 from repro.obs.registry import METRICS_CONTENT_TYPE, WallClockRegistry
 from repro.obs.spans import (
@@ -24,7 +25,6 @@ from repro.obs.spans import (
 )
 from repro.obs.timeline import validate_chrome_trace
 from repro.service.jobs import JobManager
-from repro.sim.checkpoint import iter_journal_lines
 from repro.sim.parallel import run_parallel_sweep
 from repro.sim.runner import clear_trace_cache, resolve_sweep_configs
 from tests.service.test_app import LiveServer

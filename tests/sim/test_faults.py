@@ -9,7 +9,7 @@ import errno
 
 import pytest
 
-from repro import faults
+from repro import durable, faults
 from repro.errors import (
     ConfigurationError,
     CorruptTraceError,
@@ -18,7 +18,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, cell_context
 from repro.sim.parallel import RecoveryLog
-from repro.sim.runner import clear_trace_cache, sweep
+from repro.sim.runner import clear_trace_cache, get_trace, sweep
 from repro.trace import io as trace_io
 from repro.trace.record import TraceSpec
 from repro.trace.synthetic import generate_trace
@@ -229,13 +229,31 @@ class TestTraceIntegrity:
             trace_io.set_recovery_hook(previous)
 
         assert not path.exists()
-        assert trace_io.quarantine_path(path).exists()
+        assert durable.quarantine_path(path).exists()
         assert "trace_quarantined" in notes
 
         # the caller regenerates and re-stores; the cache heals
         trace_io.store_cached_trace(spec, trace)
         restored = trace_io.load_cached_trace(spec)
         assert restored is not None and len(restored) == len(trace)
+
+    def test_prefilled_quarantine_name_falls_back_to_unlink(self):
+        # a DIRECTORY squatting on the .corrupt name makes the rename
+        # fail; quarantine falls back to deleting the bad entry
+        spec = _small_spec()
+        trace = generate_trace(spec)
+        path = trace_io.store_cached_trace(spec, trace)
+        path.write_bytes(b"not an archive")
+        durable.quarantine_path(path).mkdir()
+        assert trace_io.load_cached_trace(spec) is None
+        assert not path.exists()  # deleted despite the blocked rename
+
+        # the next cached read regenerates and re-stores the trace
+        clear_trace_cache()
+        regenerated = get_trace(spec.benchmark, refs=spec.refs, seed=spec.seed,
+                                scale=spec.scale, disk_cache=True)
+        assert (regenerated.addrs == trace.addrs).all()
+        assert trace_io.load_cached_trace(spec) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from __future__ import annotations
 import io
 import json
 
+from repro.durable import read_jsonl as iter_journal_lines
 from repro.obs.monitor import SweepProgress, watch
 from repro.sim.checkpoint import (
     JOURNAL_NAME,
     RECOVERY_NAME,
     HEADER_NAME,
-    iter_journal_lines,
     read_run_header,
 )
 from repro.sim.runner import sweep

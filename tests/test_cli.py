@@ -57,23 +57,31 @@ class TestSweep:
 
 
 class TestMalformedJobsEnv:
-    """A non-integer REPRO_JOBS fails only the commands that read it."""
+    """A malformed numeric REPRO_* value fails only the commands that read it."""
 
-    @pytest.mark.parametrize("argv, status", [
-        (["simulate", "base", "fft", "--refs", "5000"], 0),
-        (["sweep", "base", "fft", "--refs", "5000", "--jobs", "1"], 0),
-        (["sweep", "base", "fft", "--refs", "5000"], 2),
-        (["explore", "--benchmarks", "fft", "--refs", "5000", "--no-simulate"], 2),
-        (["experiment", "fig04", "--refs", "5000"], 2),
-    ], ids=["simulate", "sweep-jobs-flag", "sweep", "explore", "experiment"])
-    def test_clean_error_only_where_read(self, capsys, monkeypatch, argv, status):
-        monkeypatch.setenv("REPRO_JOBS", "abc")
+    @pytest.mark.parametrize("var, argv, status", [
+        ("REPRO_JOBS", ["simulate", "base", "fft", "--refs", "5000"], 0),
+        ("REPRO_JOBS", ["sweep", "base", "fft", "--refs", "5000", "--jobs", "1"], 0),
+        ("REPRO_JOBS", ["sweep", "base", "fft", "--refs", "5000"], 2),
+        ("REPRO_JOBS",
+         ["explore", "--benchmarks", "fft", "--refs", "5000", "--no-simulate"], 2),
+        ("REPRO_JOBS", ["experiment", "fig04", "--refs", "5000"], 2),
+        ("REPRO_MAX_RETRIES", ["sweep", "base", "barnes", "--refs", "5000", "--jobs", "1"], 2),
+        ("REPRO_CELL_TIMEOUT", ["sweep", "base", "barnes", "--refs", "5000", "--jobs", "1"], 2),
+        ("REPRO_RETRY_BACKOFF", ["sweep", "base", "barnes", "--refs", "5000", "--jobs", "1"], 2),
+        ("REPRO_PROFILE_WINDOW", ["simulate", "base", "fft", "--refs", "5000", "--profile"], 2),
+        ("REPRO_BENCH_REFS", ["experiment", "fig04"], 2),
+    ], ids=["simulate", "sweep-jobs-flag", "sweep", "explore", "experiment",
+            "max-retries", "cell-timeout", "retry-backoff", "profile-window",
+            "bench-refs"])
+    def test_clean_error_only_where_read(self, capsys, monkeypatch, var, argv, status):
         # `experiment --refs` exports REPRO_BENCH_REFS; restore it afterwards
         monkeypatch.setenv("REPRO_BENCH_REFS", "5000")
+        monkeypatch.setenv(var, "abc")
         assert main(argv) == status
         if status:
             err = capsys.readouterr().err
-            assert "error:" in err and "REPRO_JOBS" in err
+            assert "error:" in err and var in err
 
 
 class TestExperiment:
