@@ -41,7 +41,10 @@ def test_cache_insert_evict(benchmark):
     benchmark(churn)
 
 
-@pytest.mark.parametrize("system", ["base", "vb", "vpp5"])
+#: one cell per NC organisation's miss-path chain: none, victim (block-
+#: and page-indexed, R-NUMA and NC-set counters), dirty inclusion, full
+#: inclusion, infinite
+@pytest.mark.parametrize("system", ["base", "vb", "vpp5", "ncd", "ncp5", "ncs", "vxp5"])
 def test_step_throughput(benchmark, system):
     """Whole-simulator throughput: references simulated per benchmark round."""
     trace = get_trace("barnes", refs=40_000)

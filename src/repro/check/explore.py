@@ -245,7 +245,7 @@ def load_state(sim: Simulator, state: State) -> None:
                 threshold._indicator = thr_snap[2]
                 threshold._reuses = thr_snap[3]
         if ncc_snap is not None:
-            node.nc_counters._counts = list(ncc_snap)
+            node.nc_counters._counts[:] = ncc_snap
 
     sim.counters = Counters()
     sim.now = max_frames

@@ -25,10 +25,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import time
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from ..durable import write_atomic
 from ..trace.io import trace_cache_key
@@ -45,12 +48,18 @@ MANIFEST_ENV = "REPRO_MANIFEST_DIR"
 #: "cache" records the result-store hit/simulated split, which flips from
 #: all-miss to all-hit between two identical runs while the results stay
 #: bit-identical — exactly the property the core must not see; the HTTP
-#: correlation "request_id" is provenance stamped per submission)
+#: correlation "request_id" is provenance stamped per submission;
+#: "environment" names the Python and numpy releases that ran the sweep)
 VOLATILE_KEYS = (
     "created_unix", "timing", "git_sha", "version", "recovery", "cache",
-    "request_id",
+    "request_id", "environment",
 )
 VOLATILE_CELL_KEYS = ("elapsed_s", "refs_per_sec")
+
+
+#: the releases a trace depends on: numpy's ``Generator`` methods promise
+#: no stream stability across releases, so traces may differ between them
+ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def manifest_dir_from_env() -> Optional[Path]:
@@ -140,6 +149,7 @@ def build_manifest(
         "command": command,
         "version": __version__,
         "git_sha": git_sha(),
+        "environment": dict(ENVIRONMENT),
         "created_unix": time.time(),
         "parameters": {
             "refs": refs,

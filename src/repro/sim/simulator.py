@@ -20,6 +20,13 @@ state exactly, counts every monitored event in a :class:`repro.stats.Counters`,
 and leaves latency arithmetic to :mod:`repro.sim.latency` (the paper's
 model is contention-free, so counts x constants is exact).
 
+The miss path works on the machine's structures directly: the
+constructor prebinds every node's L1 tag maps and sets, NC storage, page
+frames and relocation counters, and the NC organisation (the same on
+every node) selects one fused chain per step.  The :mod:`repro.rdc`
+classes define each organisation's behaviour and keep their API for
+their own tests, :mod:`repro.sim.validate` and the model checker.
+
 Invariant checked throughout (and by the hypothesis tests): at most one
 dirty copy of any block machine-wide; the directory's owner always has the
 dirty data in an L1, its NC, or its PC frame.
@@ -32,7 +39,8 @@ from ..coherence.cache import CacheLine
 from ..coherence.states import MESIR, NCState, PCBlockState
 from ..errors import ProtocolError
 from ..params import BusProtocol, SystemConfig
-from ..rdc.base import InclusionPolicy, NCEviction
+from ..rdc.base import InclusionPolicy
+from ..rdc.infinite import InfiniteNC
 from ..rdc.none import NullNC
 from ..rdc.pagecache import PageFrame
 from ..rdc.victim import VictimNC
@@ -47,9 +55,24 @@ _E = int(MESIR.E)
 _M = int(MESIR.M)
 _R = int(MESIR.R)
 _O = int(MESIR.O)
-_NC_CLEAN = int(NCState.CLEAN)
+_NC_CLEAN = int(NCState.CLEAN)  # PCBlockState uses the same values
 _NC_DIRTY = int(NCState.DIRTY)
 _PC_INVALID = int(PCBlockState.INVALID)
+
+# NC organisations: each selects one fused chain on the miss path
+_NO_NC, _VICTIM_NC, _DIRTY_INCL_NC, _FULL_INCL_NC, _INFINITE_NC = range(5)
+
+
+def _organisation(nc) -> int:
+    if isinstance(nc, VictimNC):
+        return _VICTIM_NC
+    if isinstance(nc, InfiniteNC):
+        return _INFINITE_NC
+    if isinstance(nc, NullNC):
+        return _NO_NC
+    if nc.inclusion is InclusionPolicy.FULL:
+        return _FULL_INCL_NC
+    return _DIRTY_INCL_NC
 
 
 class Simulator:
@@ -83,7 +106,7 @@ class Simulator:
         self._bpp_mask = (1 << self._bpp_bits) - 1
         self._ppn = cfg.procs_per_node
         self._l1s = [machine.l1_of(pid) for pid in range(cfg.n_procs)]
-        self._nodes = machine.nodes
+        self._nodes = nodes = machine.nodes
         self._directory = machine.directory
         self._dir_entries = machine.directory._entries  # hot-path alias
         self._n_nodes = machine.directory.n_nodes
@@ -92,33 +115,53 @@ class Simulator:
         self._dir_counters = machine.dir_counters
         self._use_o_state = cfg.protocol is BusProtocol.MOESIR
         self._decrement_on_inval = cfg.pc.decrement_on_invalidation
-        # hot-path prebinds: per-pid peer (l1, tag-map) pairs for the bus
-        # snoop, and protocol facts that hold machine-wide (every node is
-        # built from the same config, so the NC flavour is uniform)
-        self._peer_tags = [
-            [
-                (l1, l1._tag)
-                for l1 in self._nodes[pid // self._ppn].l1s
-                if l1 is not self._l1s[pid]
-            ]
-            for pid in range(cfg.n_procs)
-        ]
-        self._node_tags = [[l1._tag for l1 in node.l1s] for node in self._nodes]
+        # Hot-path prebinds.  Every structure below is mutated in place and
+        # never replaced (the model checker restores states the same way).
+        # L1s: one geometry machine-wide, block-address indexed.
+        self._l1_tags = [l1._tag for l1 in self._l1s]
+        self._l1_sets = [l1._sets for l1 in self._l1s]
+        self._l1_mask = self._l1s[0]._set_mask if self._l1s else 0
+        self._l1_assoc = self._l1s[0].assoc if self._l1s else 0
+        self._node_l1s = [[(l1._tag, l1._sets) for l1 in node.l1s] for node in nodes]
+        self._node_tags = [[l1._tag for l1 in node.l1s] for node in nodes]
         self._node_of = [pid // self._ppn for pid in range(cfg.n_procs)]
-        self._node_by_pid = [self._nodes[i] for i in self._node_of]
-        # page-frame dict per node (None when the node has no page cache)
-        self._pc_frames = [
-            node.pc._frames if node.pc is not None else None for node in self._nodes
+        self._peer_l1s = [
+            [p for p in self._node_l1s[self._node_of[pid]] if p[0] is not tags]
+            for pid, tags in enumerate(self._l1_tags)
         ]
-        self._nc_exclusive = bool(self._nodes) and isinstance(
-            self._nodes[0].nc, VictimNC
+        self._peer_tags = [[tag for tag, _ in peers] for peers in self._peer_l1s]
+        # NCs: a tag map per node (block -> CacheLine for the set-associative
+        # organisations, block -> state for InfiniteNC, empty for NullNC)
+        self._org = org = _organisation(nodes[0].nc) if nodes else _NO_NC
+        finite = org in (_VICTIM_NC, _DIRTY_INCL_NC, _FULL_INCL_NC)
+        caches = [node.nc._cache for node in nodes] if finite else []
+        if finite:
+            self._nc_tags = [cache._tag for cache in caches]
+        elif org == _INFINITE_NC:
+            self._nc_tags = [node.nc._lines for node in nodes]
+        else:
+            self._nc_tags = [{} for _ in nodes]  # never filled
+        self._nc_sets = [cache._sets for cache in caches]
+        self._nc_shift = caches[0]._shift if caches else 0
+        self._nc_mask = caches[0]._set_mask if caches else 0
+        self._nc_assoc = caches[0].assoc if caches else 0
+        # relocation: `vxp` NC-set counters, R-NUMA directory counters,
+        # per-node thresholds and page frames (None without a page cache)
+        self._nc_counts = [
+            n.nc_counters._counts if n.nc_counters is not None else None for n in nodes
+        ]
+        self._nc_sharing = [
+            n.nc_counters.sharing if n.nc_counters is not None else 1 for n in nodes
+        ]
+        self._dir_counts = (
+            machine.dir_counters._counts if machine.dir_counters is not None else None
         )
-        self._nc_null = bool(self._nodes) and isinstance(self._nodes[0].nc, NullNC)
-        # victim NCs expose their backing cache for the inlined exclusive-hit
-        # path in _miss; other NC flavours go through _try_nc
-        self._nc_caches = [
-            node.nc._cache if isinstance(node.nc, VictimNC) else None
-            for node in self._nodes
+        self._thresholds = [node.threshold for node in nodes]
+        self._pc_frames = [
+            node.pc._frames if node.pc is not None else None for node in nodes
+        ]
+        self._pc_hit_max = [
+            node.pc.hit_counter_max if node.pc is not None else 0 for node in nodes
         ]
 
     # ------------------------------------------------------------------
@@ -233,12 +276,11 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _upgrade(self, pid: int, block: int, line) -> None:
-        """Write hit on an S/R copy: gain exclusivity, then mark M."""
+        """Write hit on an S/R/O copy: gain exclusivity, then mark M."""
         c = self.counters
-        node_idx = pid // self._ppn
-        node = self._nodes[node_idx]
+        node_idx = self._node_of[pid]
         page = block >> self._bpp_bits
-        home = self._placement.home_of(page)
+        home = self._homes.get(page)
         assert home is not None  # the block is cached, so the page was touched
         tr = self._tracer
         if tr is not None:
@@ -246,40 +288,42 @@ class Simulator:
             tr.emit("upgrade", self.now, node=node_idx, block=block)
 
         # drop every other copy inside the cluster
-        my_l1 = self._l1s[pid]
-        for l1 in node.l1s:
-            if l1 is not my_l1:
-                l1.remove(block)
-        nc = node.nc
-        if home != node_idx:  # the NC holds remote blocks only
-            if self._nc_exclusive:
-                st = nc.invalidate(block)  # a polluting clean copy, if any
-                if st is not None and tr is not None:
+        mask = self._l1_mask
+        for tag, sets in self._peer_l1s[pid]:
+            ln = tag.pop(block, None)
+            if ln is not None:
+                sets[block & mask].remove(ln)
+        if home != node_idx:  # the NC and the PC hold remote blocks only
+            org = self._org
+            if org == _VICTIM_NC:
+                # a polluting clean copy, if any
+                if self._nc_remove(node_idx, block) is not None and tr is not None:
                     tr.emit("nc_pollution", self.now, node=node_idx, block=block)
-            elif nc.inclusion is not InclusionPolicy.NONE:
+            elif org == _DIRTY_INCL_NC or org == _FULL_INCL_NC:
                 # inclusion NCs must regain a frame for the soon-dirty
                 # block; an existing dirty frame becomes stale-clean
                 # (ownership moves up to the writing L1)
-                nc.downgrade(block)
-                ev = nc.on_fetch(block)
-                if ev is not None:
-                    self._handle_nc_eviction(node, ev)
+                self._nc_downgrade(node_idx, block)
+                self._nc_fetch(node_idx, block)
             else:
-                nc.invalidate(block)
+                self._nc_remove(node_idx, block)
+            pc = self._nodes[node_idx].pc
+            if pc is not None:
+                pc.invalidate_block(page, block & self._bpp_mask)
 
-        pc = node.pc
-        if pc is not None and home != node_idx:
-            pc.invalidate_block(page, block & self._bpp_mask)
-
-        invalidate = self._directory.upgrade(block, node_idx)
-        for cl in invalidate:
-            self._invalidate_cluster(cl, block, page)
-        c.remote_invalidations += len(invalidate)
+        self._gain_ownership(node_idx, block, page)
         if home == node_idx:
             c.local_upgrades += 1
         else:
             c.remote_upgrades += 1
         line.state = _M
+
+    def _gain_ownership(self, node_idx: int, block: int, page: int) -> None:
+        """Directory upgrade: every other cluster's copy is invalidated."""
+        invalidate = self._directory.upgrade(block, node_idx)
+        for cl in invalidate:
+            self._invalidate_cluster(cl, block, page)
+        self.counters.remote_invalidations += len(invalidate)
 
     # ------------------------------------------------------------------
     # miss handling
@@ -287,140 +331,136 @@ class Simulator:
 
     def _miss(self, pid: int, block: int, is_write: bool) -> None:
         node_idx = self._node_of[pid]
-        node = self._node_by_pid[pid]
         page = block >> self._bpp_bits
-        tr = self._tracer
-        if tr is not None:
+        if self._tracer is not None:
             self._directory.now = self.now
         # inlined FirstTouchPlacement.touch (one dict probe on the miss path)
         homes = self._homes
         home = homes.get(page)
         if home is None:
             homes[page] = home = node_idx
-        local = home == node_idx
 
-        # 1. snoop the cluster bus: peer caches (scan inlined — most misses
-        # find no holder, so the common case is three tag-map probes)
-        holders = None
-        for l1, tag in self._peer_tags[pid]:
-            ln = tag.get(block)
-            if ln is not None:
-                if holders is None:
-                    holders = [(l1, ln)]
-                else:
-                    holders.append((l1, ln))
-        if holders is not None:
-            self._supply_from_peers(pid, node, block, page, home, is_write, holders)
-            return
-
-        if not local:
-            # 2. the network cache answers the same bus transaction.  The
-            # victim-NC (exclusive) hit is inlined: the frame swaps straight
-            # back into the L1, so the whole service is one tag-map pop.
-            if self._nc_exclusive:
-                nc_cache = self._nc_caches[node_idx]
-                line = nc_cache._tag.pop(block, None)
-                if line is not None:
-                    nc_cache._sets[
-                        (block >> nc_cache._shift) & nc_cache._set_mask
-                    ].remove(line)
-                    c = self.counters
-                    if is_write:
-                        if line.state == _NC_CLEAN:
-                            invalidate = self._directory.upgrade(block, node_idx)
-                            for cl in invalidate:
-                                self._invalidate_cluster(cl, block, page)
-                            c.remote_invalidations += len(invalidate)
-                        if node.pc is not None:
-                            node.pc.invalidate_block(page, block & self._bpp_mask)
-                        self._fill(pid, node, block, page, _M)
-                        c.write_nc_hits += 1
-                        if tr is not None:
-                            tr.emit(
-                                "nc_hit", self.now,
-                                node=node_idx, block=block, detail="write",
-                            )
-                        if self._profiler is not None:
-                            self._profiler.on_nc_hit(self.now, True)
-                        return
-                    self._fill(
-                        pid, node, block, page,
-                        _M if line.state == _NC_DIRTY else _R,
-                    )
-                    c.read_nc_hits += 1
-                    if tr is not None:
-                        tr.emit(
-                            "nc_hit", self.now,
-                            node=node_idx, block=block, detail="read",
-                        )
-                    if self._profiler is not None:
-                        self._profiler.on_nc_hit(self.now, False)
-                    return
-            elif not self._nc_null and self._try_nc(
-                pid, node, node_idx, block, page, is_write
-            ):
+        # 1. snoop the cluster bus: most misses find no peer holder, so the
+        # common case is one membership test per peer cache
+        for tag in self._peer_tags[pid]:
+            if block in tag:
+                self._supply_from_peers(pid, node_idx, block, page, home, is_write)
+                return
+        if home != node_idx:
+            # 2. the network cache answers the same bus transaction
+            if block in self._nc_tags[node_idx]:
+                self._nc_hit(pid, node_idx, block, page, is_write)
                 return
             # 3. a relocated page's frame in local memory
-            if node.pc is not None and self._try_pc(
-                pid, node, node_idx, block, page, is_write
+            frames = self._pc_frames[node_idx]
+            if (
+                frames is not None
+                and page in frames
+                and self._try_pc(pid, node_idx, block, page, is_write, frames[page])
             ):
                 return
+            # 4b. a remote (monitored) access to the home node
+            self._remote_access(pid, node_idx, block, page, home, is_write)
+            return
 
-        # 4. home memory: a local access or a remote (monitored) one
-        if local:
-            self._local_memory_access(pid, node_idx, block, page, is_write)
+        # 4a. local home memory.  Directory.access inlined, as in
+        # _remote_access; its dir_access event precedes the owner flush
+        # and the invalidations.
+        c = self.counters
+        bit = 1 << node_idx
+        entry = self._dir_entries.get(block)
+        if entry is None:
+            entry = self._dir_entries[block] = [0, -1]
+        presence = entry[0]
+        owner = entry[1]
+        if owner == node_idx:
+            raise ProtocolError(
+                f"cluster {node_idx} re-requested block {block:#x} it owns dirty"
+            )
+        if is_write:
+            entry[0] = bit
+            entry[1] = node_idx
         else:
-            self._remote_access(pid, node, node_idx, block, page, home, is_write)
+            entry[0] = presence | bit
+            entry[1] = -1  # a read of a dirty block forces a sharing write-back
+        tr = self._tracer
+        if tr is not None:
+            tr.emit(
+                "dir_access", self.now,
+                node=node_idx, block=block,
+                detail="capacity" if presence & bit else "necessary",
+            )
+        if owner >= 0:
+            self._flush_owner(owner, block, page, is_write)
+        if is_write:
+            if presence & ~bit:
+                self._invalidate_others(presence & ~bit, owner, block, page)
+            fill = _M
+            c.local_write_misses += 1
+        else:
+            fill = _E if entry[0] == bit else _S
+            c.local_read_misses += 1
+        # _fill inlined: the other common ending of a miss
+        lines = self._l1_sets[pid][block & self._l1_mask]
+        if len(lines) < self._l1_assoc:
+            line = CacheLine(block, fill)
+            lines.append(line)
+            self._l1_tags[pid][block] = line
+            return
+        tags = self._l1_tags[pid]
+        line = lines.pop(0)
+        victim = line.block
+        victim_state = line.state
+        del tags[victim]
+        line.block = block
+        line.state = fill
+        lines.append(line)
+        tags[block] = line
+        if victim_state != _S and victim_state != _E:
+            self._handle_l1_victim(node_idx, victim, victim_state)
 
     # ---- 1: peer caches ---------------------------------------------------
 
     def _supply_from_peers(
-        self,
-        pid: int,
-        node: Node,
-        block: int,
-        page: int,
-        home: int,
-        is_write: bool,
-        holders,
+        self, pid: int, node_idx: int, block: int, page: int, home: int, is_write: bool
     ) -> None:
         c = self.counters
         tr = self._tracer
         if tr is not None:
             tr.emit(
                 "bus_c2c", self.now,
-                node=node.node_id, block=block,
+                node=node_idx, block=block,
                 detail="write" if is_write else "read",
             )
 
-        node_idx = node.node_id
         local = home == node_idx
         if is_write:
-            for l1, ln in holders:
-                l1.remove(block)
-            nc = node.nc
-            if not local:  # the NC holds remote blocks only
-                if self._nc_exclusive:
-                    st = nc.invalidate(block)
-                    if st is not None and tr is not None:
-                        tr.emit(
-                            "nc_pollution", self.now, node=node_idx, block=block
-                        )
-                elif nc.inclusion is not InclusionPolicy.NONE:
-                    # stale-clean the frame, keep inclusion
-                    nc.service_write(block)
-                    ev = nc.on_fetch(block)
-                    if ev is not None:
-                        self._handle_nc_eviction(node, ev)
-                else:
-                    nc.service_write(block)
-            if node.pc is not None and not local:
-                node.pc.invalidate_block(page, block & self._bpp_mask)
-            invalidate = self._directory.upgrade(block, node_idx)
-            for cl in invalidate:
-                self._invalidate_cluster(cl, block, page)
-            c.remote_invalidations += len(invalidate)
-            self._fill(pid, node, block, page, _M)
+            mask = self._l1_mask
+            for tag, sets in self._peer_l1s[pid]:
+                ln = tag.pop(block, None)
+                if ln is not None:
+                    sets[block & mask].remove(ln)
+            if not local:  # the NC and the PC hold remote blocks only
+                org = self._org
+                if org == _VICTIM_NC:
+                    if self._nc_remove(node_idx, block) is not None and tr is not None:
+                        tr.emit("nc_pollution", self.now, node=node_idx, block=block)
+                elif org == _INFINITE_NC:
+                    tags = self._nc_tags[node_idx]
+                    if block in tags:
+                        tags[block] = _NC_CLEAN  # ownership moves to the L1
+                elif org != _NO_NC:
+                    # stale-clean the frame (promoted to MRU), keep inclusion
+                    ln = self._nc_tags[node_idx].get(block)
+                    if ln is not None:
+                        self._nc_promote(node_idx, ln)
+                        ln.state = _NC_CLEAN
+                    self._nc_fetch(node_idx, block)
+                pc = self._nodes[node_idx].pc
+                if pc is not None:
+                    pc.invalidate_block(page, block & self._bpp_mask)
+            self._gain_ownership(node_idx, block, page)
+            self._fill(pid, node_idx, block, _M)
             if local:
                 c.local_write_misses += 1
             else:
@@ -432,18 +472,19 @@ class Simulator:
         # read: supply via cache-to-cache; a dirty supplier downgrades —
         # to dirty-shared O under MOESIR (no write-back leaves the L1s),
         # to S with a write-back to dispose of under plain MESIR
+        holders = [tag[block] for tag in self._peer_tags[pid] if block in tag]
         frames = self._pc_frames[node_idx]
-        page_resident = frames is not None and home != node_idx and page in frames
-        for l1, ln in holders:
+        page_resident = frames is not None and not local and page in frames
+        for ln in holders:
             if ln.state == _M:
-                if self._use_o_state and home != node_idx and not page_resident:
+                if self._use_o_state and not local and not page_resident:
                     ln.state = _O
                 else:
                     ln.state = _S
-                    self._dispose_downgraded_dirty(node, block, page, home)
+                    self._handle_l1_victim(node_idx, block, _M, "bus")
             elif ln.state == _E:
                 ln.state = _S
-        self._fill(pid, node, block, page, _S)
+        self._fill(pid, node_idx, block, _S)
         if local:
             c.local_read_misses += 1
         else:
@@ -451,137 +492,82 @@ class Simulator:
             if self._profiler is not None:
                 self._profiler.on_cluster_hit(self.now, False)
 
-    def _dispose_downgraded_dirty(
-        self, node: Node, block: int, page: int, home: int
-    ) -> None:
-        """An M copy was downgraded to S on the bus; place its write-back.
-
-        Local blocks update local memory for free.  Remote blocks are
-        captured by the victim NC (the pollution the paper accepts), by an
-        inclusive NC's frame, by a relocated page's local frame — or they
-        cross the network to the home node.
-        """
-        c = self.counters
-        tr = self._tracer
-        node_idx = node.node_id
-        if home == node_idx:
-            if self._directory.owner(block) == node_idx:
-                self._directory.writeback(block, node_idx)
-            return
-        frames = self._pc_frames[node_idx]
-        if frames is not None:
-            frame = frames.get(page)
-            if frame is not None:
-                frame.states[block & self._bpp_mask] = _NC_DIRTY
-                c.writebacks_absorbed += 1
-                if tr is not None:
-                    tr.emit(
-                        "writeback_absorbed", self.now,
-                        node=node_idx, block=block, detail="pc",
-                    )
-                return
-        absorbed, ev = node.nc.accept_dirty_victim(block)
-        if absorbed:
-            c.writebacks_absorbed += 1
-            if tr is not None:
-                tr.emit(
-                    "nc_insert", self.now,
-                    node=node_idx, block=block, detail="dirty",
-                )
-                tr.emit(
-                    "writeback_absorbed", self.now,
-                    node=node_idx, block=block, detail="nc",
-                )
-            self._record_nc_victimization(node, block)
-            if ev is not None:
-                self._handle_nc_eviction(node, ev)
-            return
-        c.writebacks_remote += 1
-        if tr is not None:
-            tr.emit(
-                "writeback_remote", self.now,
-                node=node_idx, block=block, detail="bus",
-            )
-        self._directory.writeback(block, node_idx)
-
     # ---- 2: network cache ---------------------------------------------------
 
-    def _try_nc(
-        self, pid: int, node: Node, node_idx: int, block: int, page: int, is_write: bool
-    ) -> bool:
-        c = self.counters
-        nc = node.nc
-        if is_write:
-            st = nc.service_write(block)
-            if st is None:
-                return False
-            if st == _NC_CLEAN:
-                invalidate = self._directory.upgrade(block, node_idx)
-                for cl in invalidate:
-                    self._invalidate_cluster(cl, block, page)
-                c.remote_invalidations += len(invalidate)
-            if node.pc is not None:
-                node.pc.invalidate_block(page, block & self._bpp_mask)
-            self._fill(pid, node, block, page, _M)
-            c.write_nc_hits += 1
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "nc_hit", self.now, node=node_idx, block=block, detail="write"
-                )
-            if self._profiler is not None:
-                self._profiler.on_nc_hit(self.now, True)
-            return True
-
-        st = nc.service_read(block)
-        if st is None:
-            return False
-        if self._nc_exclusive:
-            # exclusive: the block moved out of the NC into the L1
-            fill = _M if st == _NC_DIRTY else _R
+    def _nc_hit(
+        self, pid: int, node_idx: int, block: int, page: int, is_write: bool
+    ) -> None:
+        """The NC holds the block: one fused service per organisation."""
+        tags = self._nc_tags[node_idx]
+        org = self._org
+        if org == _VICTIM_NC:
+            # exclusive: the frame swaps straight back into the L1
+            line = tags.pop(block)
+            self._nc_sets[node_idx][(block >> self._nc_shift) & self._nc_mask].remove(line)
+            st = line.state
+            fill = _M if is_write or st == _NC_DIRTY else _R
         else:
-            fill = _S  # the NC keeps the frame (and the dirtiness, if any)
-        self._fill(pid, node, block, page, fill)
-        c.read_nc_hits += 1
+            # inclusive and infinite NCs keep the frame (and the dirtiness,
+            # if any); a write hands ownership up, the copy goes stale-clean
+            if org == _INFINITE_NC:
+                st = tags[block]
+                if is_write:
+                    tags[block] = _NC_CLEAN
+            else:
+                line = tags[block]
+                self._nc_promote(node_idx, line)
+                st = line.state
+                if is_write:
+                    line.state = _NC_CLEAN
+            fill = _M if is_write else _S
+        c = self.counters
+        if is_write:
+            if st == _NC_CLEAN:
+                self._gain_ownership(node_idx, block, page)
+            pc = self._nodes[node_idx].pc
+            if pc is not None:
+                pc.invalidate_block(page, block & self._bpp_mask)
+            self._fill(pid, node_idx, block, _M)
+            c.write_nc_hits += 1
+        else:
+            self._fill(pid, node_idx, block, fill)
+            c.read_nc_hits += 1
         if self._tracer is not None:
             self._tracer.emit(
-                "nc_hit", self.now, node=node_idx, block=block, detail="read"
+                "nc_hit", self.now,
+                node=node_idx, block=block, detail="write" if is_write else "read",
             )
         if self._profiler is not None:
-            self._profiler.on_nc_hit(self.now, False)
-        return True
+            self._profiler.on_nc_hit(self.now, is_write)
 
     # ---- 3: page cache ---------------------------------------------------------
 
     def _try_pc(
-        self, pid: int, node: Node, node_idx: int, block: int, page: int, is_write: bool
+        self,
+        pid: int,
+        node_idx: int,
+        block: int,
+        page: int,
+        is_write: bool,
+        frame: PageFrame,
     ) -> bool:
-        frames = self._pc_frames[node_idx]
-        if frames is None:
-            return False
-        frame = frames.get(page)
-        if frame is None:
-            return False
         offset = block & self._bpp_mask
         st = frame.states[offset]
         if st == _PC_INVALID:
             return False
         c = self.counters
-        pc = node.pc
         # inlined PageCache.record_hit (LRM clock + saturating hit counter)
         frame.last_miss = self.now
-        if frame.hits < pc.hit_counter_max:
+        if frame.hits < self._pc_hit_max[node_idx]:
             frame.hits += 1
         if is_write:
             if st == _NC_CLEAN:  # PCBlockState.CLEAN has the same value
-                invalidate = self._directory.upgrade(block, node_idx)
-                for cl in invalidate:
-                    self._invalidate_cluster(cl, block, page)
-                c.remote_invalidations += len(invalidate)
-            pc.invalidate_block(page, offset)  # ownership moves to the L1
-            self._fill(pid, node, block, page, _M)
+                self._gain_ownership(node_idx, block, page)
+            frame.states[offset] = _PC_INVALID  # ownership moves to the L1
+            self._fill(pid, node_idx, block, _M)
             c.write_pc_hits += 1
         else:
-            self._fill(pid, node, block, page, _S)
+            self._fill(pid, node_idx, block, _S)
             c.read_pc_hits += 1
         if self._tracer is not None:
             self._tracer.emit(
@@ -593,43 +579,10 @@ class Simulator:
             self._profiler.on_pc_hit(self.now, is_write)
         return True
 
-    # ---- 4a: local home memory ---------------------------------------------------
-
-    def _local_memory_access(
-        self, pid: int, node_idx: int, block: int, page: int, is_write: bool
-    ) -> None:
-        c = self.counters
-        reply = self._directory.access(block, node_idx, is_write)
-        owner = reply.owner_to_flush
-        if owner is not None:
-            self._flush_owner(owner, block, page, is_write)
-        invalidate = reply.invalidate
-        if invalidate:
-            for cl in invalidate:
-                if cl != owner:
-                    self._invalidate_cluster(cl, block, page)
-            c.remote_invalidations += len(invalidate) - (owner in invalidate)
-        node = self._nodes[node_idx]
-        if is_write:
-            fill = _M
-            c.local_write_misses += 1
-        else:
-            only_us = self._directory.presence_mask(block) == (1 << node_idx)
-            fill = _E if only_us else _S
-            c.local_read_misses += 1
-        self._fill(pid, node, block, page, fill)
-
     # ---- 4b: remote access ----------------------------------------------------------
 
     def _remote_access(
-        self,
-        pid: int,
-        node: Node,
-        node_idx: int,
-        block: int,
-        page: int,
-        home: int,
-        is_write: bool,
+        self, pid: int, node_idx: int, block: int, page: int, home: int, is_write: bool
     ) -> None:
         c = self.counters
         # Directory.access inlined (this is every monitored remote access):
@@ -639,8 +592,7 @@ class Simulator:
         bit = 1 << node_idx
         entry = self._dir_entries.get(block)
         if entry is None:
-            entry = [0, -1]
-            self._dir_entries[block] = entry
+            entry = self._dir_entries[block] = [0, -1]
         presence = entry[0]
         owner = entry[1]
         if owner == node_idx:
@@ -649,47 +601,39 @@ class Simulator:
             )
         is_capacity = presence & bit
         if is_write:
-            others = presence & ~bit
             entry[0] = bit
             entry[1] = node_idx
         else:
-            others = 0
             entry[0] = presence | bit
             # a read of a dirty block forces a sharing write-back (no O
             # state at the directory): memory updates, ownership drops
             entry[1] = -1
-        if owner < 0:
-            owner = None
 
-        if owner is not None:
+        if owner >= 0:
             self._flush_owner(owner, block, page, is_write)
-        else:
+        elif (presence >> home) & 1:
             # The home cluster may hold the block E (granted when it was the
             # sole sharer) or M (after a silent E->M write hit) that the
             # directory cannot see.  A remote request rides the home node's
             # bus, so those copies are downgraded (read) or invalidated
             # (write) exactly as a real snooping bus would — without this, a
             # stale E copy could silently become M while remote copies exist.
-            for i, tag in enumerate(self._node_tags[home]):
-                ln = tag.get(block)
-                if ln is not None and (ln.state == _M or ln.state == _E):
+            # An L1 copy in the home cluster implies the home's presence bit
+            # (checked by sim.validate), so a clear bit skips the snoop.
+            for tags, sets in self._node_l1s[home]:
+                if block not in tags:
+                    continue
+                ln = tags[block]
+                if ln.state == _M or ln.state == _E:
                     if is_write:
-                        self._nodes[home].l1s[i].remove(block)
+                        del tags[block]
+                        sets[block & self._l1_mask].remove(ln)
                     else:
                         ln.state = _S
                     break  # E/M are exclusive; no other copy can exist
 
-        if others:
-            n_inval = 0
-            for cl in range(self._n_nodes):
-                if (others >> cl) & 1:
-                    n_inval += 1
-                    if cl != owner:
-                        self._invalidate_cluster(cl, block, page)
-            c.remote_invalidations += n_inval - (
-                owner is not None and (others >> owner) & 1
-            )
-
+        if is_write and presence & ~bit:
+            self._invalidate_others(presence & ~bit, owner, block, page)
         if is_capacity:
             c.remote_capacity += 1
         else:
@@ -714,18 +658,16 @@ class Simulator:
         page_resident = frames is not None and page in frames
 
         # R-NUMA relocation counters live at the directory and count
-        # capacity misses to pages not yet relocated
-        if (
-            is_capacity
-            and self._dir_counters is not None
-            and frames is not None
-            and not page_resident
-        ):
-            assert node.threshold is not None
-            if self._dir_counters.record_capacity_miss(
-                page, node_idx, node.threshold.value
-            ):
-                self._relocate_page(node, page)
+        # capacity misses to pages not yet relocated (inlined
+        # DirectoryRelocationCounters.record_capacity_miss)
+        counts = self._dir_counts
+        if is_capacity and counts is not None and frames is not None and not page_resident:
+            threshold = self._thresholds[node_idx]
+            assert threshold is not None
+            key = (page << 6) | node_idx
+            count = counts[key] = counts.get(key, 0) + 1
+            if count > threshold.value:
+                self._relocate_page(self._nodes[node_idx], page)
                 self._dir_counters.reset(page, node_idx)
                 page_resident = True
 
@@ -741,100 +683,86 @@ class Simulator:
             fill = _M if is_write else _S  # relocated pages behave locally
         else:
             # allocate-on-miss NCs take a frame for the fetched block
-            # (victim NCs never do — skip the no-op call on their hot path)
-            if not self._nc_exclusive and not self._nc_null:
-                ev = node.nc.on_fetch(block)
-                if ev is not None:
-                    self._handle_nc_eviction(node, ev)
+            org = self._org
+            if org == _INFINITE_NC:
+                self._nc_tags[node_idx].setdefault(block, _NC_CLEAN)
+            elif org == _DIRTY_INCL_NC or org == _FULL_INCL_NC:
+                self._nc_fetch(node_idx, block)
             fill = _M if is_write else _R
 
-        self._fill(pid, node, block, page, fill)
+        # _fill inlined: every remote access ends here
+        lines = self._l1_sets[pid][block & self._l1_mask]
+        if len(lines) < self._l1_assoc:
+            line = CacheLine(block, fill)
+            lines.append(line)
+            self._l1_tags[pid][block] = line
+            return
+        tags = self._l1_tags[pid]
+        line = lines.pop(0)
+        victim = line.block
+        victim_state = line.state
+        del tags[victim]
+        line.block = block
+        line.state = fill
+        lines.append(line)
+        tags[block] = line
+        if victim_state != _S and victim_state != _E:
+            self._handle_l1_victim(node_idx, victim, victim_state)
 
     # ------------------------------------------------------------------
     # fills and victim disposal
     # ------------------------------------------------------------------
 
-    def _fill(self, pid: int, node: Node, block: int, page: int, state: int) -> None:
-        """Insert the fetched block into the requesting L1, then dispose of
-        the line it displaced.
+    def _fill(self, pid: int, node_idx: int, block: int, state: int) -> None:
+        """Insert the fetched block into the requesting L1 as MRU, then
+        dispose of the line it displaced.
 
-        This is :meth:`SetAssocCache.insert` inlined — every miss ends
-        here, and the call overhead is measurable at trace scale.
+        This is :meth:`SetAssocCache.insert` inlined; the two common ends
+        of a miss, local and remote memory, inline this body in turn.  A
+        full set recycles its LRU ``CacheLine`` for the new block, which is
+        safe only because nothing keeps a reference to an evicted L1 line:
+        the victim is disposed of by ``(block, state)``.
         """
-        l1 = self._l1s[pid]
-        lines = l1._sets[block & l1._set_mask]
-        if len(lines) >= l1.assoc:
-            evicted = lines.pop(0)
-            del l1._tag[evicted.block]
-        else:
-            evicted = None
-        line = CacheLine(block, state)
-        lines.append(line)
-        l1._tag[block] = line
-        if evicted is not None:
-            self._handle_l1_victim(node, evicted)
-
-    def _handle_l1_victim(self, node: Node, line) -> None:
-        st = line.state
-        if st == _S or st == _E:
-            return  # clean non-masters drop silently (and E is local-only)
-        block = line.block
-        page = block >> self._bpp_bits
-        node_idx = node.node_id
-        home = self._homes.get(page)
-        c = self.counters
-        tr = self._tracer
-
-        if st == _M or st == _O:
-            if home == node_idx:
-                if self._directory.owner(block) == node_idx:
-                    self._directory.writeback(block, node_idx)
-                return  # local memory write, free
-            frames = self._pc_frames[node_idx]
-            if frames is not None:
-                frame = frames.get(page)
-                if frame is not None:
-                    frame.states[block & self._bpp_mask] = _NC_DIRTY
-                    c.writebacks_absorbed += 1
-                    if tr is not None:
-                        tr.emit(
-                            "writeback_absorbed", self.now,
-                            node=node_idx, block=block, detail="pc",
-                        )
-                    return
-            absorbed, ev = node.nc.accept_dirty_victim(block)
-            if absorbed:
-                c.writebacks_absorbed += 1
-                if tr is not None:
-                    tr.emit(
-                        "nc_insert", self.now,
-                        node=node_idx, block=block, detail="dirty",
-                    )
-                    tr.emit(
-                        "writeback_absorbed", self.now,
-                        node=node_idx, block=block, detail="nc",
-                    )
-                self._record_nc_victimization(node, block)
-                if ev is not None:
-                    self._handle_nc_eviction(node, ev)
-                return
-            c.writebacks_remote += 1
-            if tr is not None:
-                tr.emit(
-                    "writeback_remote", self.now,
-                    node=node_idx, block=block, detail="l1",
-                )
-            self._directory.writeback(block, node_idx)
+        lines = self._l1_sets[pid][block & self._l1_mask]
+        tags = self._l1_tags[pid]
+        if len(lines) < self._l1_assoc:
+            line = CacheLine(block, state)
+            lines.append(line)
+            tags[block] = line
             return
+        line = lines.pop(0)
+        victim = line.block
+        victim_state = line.state
+        del tags[victim]
+        line.block = block
+        line.state = state
+        lines.append(line)
+        tags[block] = line
+        # clean non-masters drop silently (and E is local-only)
+        if victim_state != _S and victim_state != _E:
+            self._handle_l1_victim(node_idx, victim, victim_state)
 
+    def _handle_l1_victim(
+        self, node_idx: int, block: int, st: int, detail: str = "l1"
+    ) -> None:
+        """Dispose of a displaced M, O or R line, or (``detail="bus"``)
+        place the data of an M copy downgraded to S on the bus.
+
+        Dirty data of a local block updates local memory for free.  Of a
+        remote block, it is absorbed by a relocated page's local frame or
+        by the NC (for a downgrade, the pollution the paper accepts), or it
+        crosses the network to the home node.
+        """
+        page = block >> self._bpp_bits
+        frames = self._pc_frames[node_idx]
         if st == _R:
             # replacement transaction for the last clean copy in the node
-            for tag in self._node_tags[node_idx]:
-                ln = tag.get(block)
-                if ln is not None and ln.state == _S:
-                    ln.state = _R  # a peer inherits mastership
-                    return
-            frames = self._pc_frames[node_idx]
+            for tags in self._node_tags[node_idx]:
+                if block in tags:
+                    ln = tags[block]
+                    if ln.state == _S:
+                        ln.state = _R  # a peer inherits mastership
+                        return
             if frames is not None:
                 frame = frames.get(page)
                 if frame is not None:
@@ -842,45 +770,207 @@ class Simulator:
                     if frame.states[offset] == _PC_INVALID:
                         frame.states[offset] = _NC_CLEAN  # deposit, LRM untouched
                     return
-            accepted, ev = node.nc.accept_clean_victim(block)
-            if accepted:
+            if self._org != _NO_NC:
+                self._nc_accept(node_idx, block, False)
+            return
+        if st != _M and st != _O:
+            raise ProtocolError(f"victimised line in impossible state {st}")
+        if self._homes.get(page) == node_idx:
+            # Directory.writeback inlined: the home wrote the block last
+            entry = self._dir_entries.get(block)
+            if entry is not None and entry[1] == node_idx:
+                entry[1] = -1
+                if self._tracer is not None:
+                    self._tracer.emit("dir_writeback", self.now, node=node_idx, block=block)
+            return
+        c = self.counters
+        tr = self._tracer
+        if frames is not None:
+            frame = frames.get(page)
+            if frame is not None:
+                frame.states[block & self._bpp_mask] = _NC_DIRTY
+                c.writebacks_absorbed += 1
                 if tr is not None:
                     tr.emit(
-                        "nc_insert", self.now,
-                        node=node_idx, block=block, detail="clean",
+                        "writeback_absorbed", self.now,
+                        node=node_idx, block=block, detail="pc",
                     )
-                self._record_nc_victimization(node, block)
-            if ev is not None:
-                self._handle_nc_eviction(node, ev)
+                return
+        if self._org != _NO_NC and self._nc_accept(node_idx, block, True):
             return
+        c.writebacks_remote += 1
+        if tr is not None:
+            tr.emit(
+                "writeback_remote", self.now,
+                node=node_idx, block=block, detail=detail,
+            )
+        self._directory.writeback(block, node_idx)
 
-        raise ProtocolError(f"victimised line in impossible state {st}")
+    # ------------------------------------------------------------------
+    # network-cache storage (fused per organisation)
+    # ------------------------------------------------------------------
 
-    def _handle_nc_eviction(self, node: Node, ev: NCEviction) -> None:
+    def _nc_accept(self, node_idx: int, block: int, dirty: bool) -> bool:
+        """Offer a victim to the NC: a dirty write-back or the last clean
+        copy (an R-state replacement transaction).
+
+        Returns whether the NC took it; a declined dirty victim continues
+        across the network.  The victim NC inserts it; inclusive NCs take
+        it only into the frame allocated at fetch time; the infinite NC
+        always takes it.  Each capture counts as an NC insertion and feeds
+        the `vxp` set counters.
+        """
+        tags = self._nc_tags[node_idx]
+        org = self._org
+        evicted = None
+        if org == _VICTIM_NC:
+            set_idx = (block >> self._nc_shift) & self._nc_mask
+            if dirty:
+                # the rarer dirty capture goes through VictimNC itself: it is
+                # the seam the checkers' fault-injection tests patch
+                absorbed, ev = self._nodes[node_idx].nc.accept_dirty_victim(block)
+                if not absorbed:
+                    return False
+                if ev is not None:
+                    evicted = ev.block
+                    evicted_dirty = ev.dirty
+            elif block not in tags:
+                # a clean capture recycles the line it evicts (nothing keeps
+                # a reference to an evicted NC line); a block already
+                # captured stays as it is
+                lines = self._nc_sets[node_idx][set_idx]
+                if len(lines) < self._nc_assoc:
+                    line = CacheLine(block, _NC_CLEAN)
+                else:
+                    line = lines.pop(0)
+                    evicted = line.block
+                    evicted_dirty = line.state == _NC_DIRTY
+                    del tags[evicted]
+                    line.block = block
+                    line.state = _NC_CLEAN
+                lines.append(line)
+                tags[block] = line
+        elif org == _INFINITE_NC:
+            if dirty:
+                tags[block] = _NC_DIRTY
+            else:
+                tags.setdefault(block, _NC_CLEAN)
+        else:
+            line = tags.get(block)
+            if line is None:
+                # dirty inclusion should make this impossible for a dirty
+                # victim; decline conservatively (the write-back continues)
+                return False
+            if dirty:
+                line.state = _NC_DIRTY
+        c = self.counters
+        tr = self._tracer
+        if dirty:
+            c.writebacks_absorbed += 1
+        if tr is not None:
+            tr.emit(
+                "nc_insert", self.now,
+                node=node_idx, block=block, detail="dirty" if dirty else "clean",
+            )
+            if dirty:
+                tr.emit(
+                    "writeback_absorbed", self.now,
+                    node=node_idx, block=block, detail="nc",
+                )
+        c.nc_insertions += 1
+        counts = self._nc_counts[node_idx]
+        if counts is not None:
+            # `vxp`: count the victimisation in its NC set (inlined
+            # NCSetRelocationCounters.record_victimization)
+            threshold = self._thresholds[node_idx]
+            assert threshold is not None
+            i = set_idx // self._nc_sharing[node_idx]
+            counts[i] += 1
+            if counts[i] > threshold.value:
+                self._relocate_predominant(self._nodes[node_idx], set_idx)
+        if evicted is not None:
+            self._nc_evicted(node_idx, evicted, evicted_dirty)
+        return True
+
+    def _nc_fetch(self, node_idx: int, block: int) -> None:
+        """An inclusive NC takes a frame for a block fetched into the node."""
+        tags = self._nc_tags[node_idx]
+        if block in tags:
+            return
+        lines = self._nc_sets[node_idx][(block >> self._nc_shift) & self._nc_mask]
+        if len(lines) < self._nc_assoc:
+            line = CacheLine(block, _NC_CLEAN)
+            lines.append(line)
+            tags[block] = line
+            return
+        line = lines.pop(0)
+        evicted = line.block
+        evicted_dirty = line.state == _NC_DIRTY
+        del tags[evicted]
+        line.block = block
+        line.state = _NC_CLEAN
+        lines.append(line)
+        tags[block] = line
+        self._nc_evicted(node_idx, evicted, evicted_dirty)
+
+    def _nc_promote(self, node_idx: int, line: CacheLine) -> None:
+        """Make a resident NC line its set's MRU (a looked-up frame)."""
+        lines = self._nc_sets[node_idx][(line.block >> self._nc_shift) & self._nc_mask]
+        if lines[-1] is not line:
+            lines.remove(line)
+            lines.append(line)
+
+    def _nc_state(self, node_idx: int, block: int):
+        """The NC state of a block (None when absent), without side effects."""
+        entry = self._nc_tags[node_idx].get(block)
+        if entry is None or self._org == _INFINITE_NC:
+            return entry
+        return entry.state
+
+    def _nc_remove(self, node_idx: int, block: int):
+        """Drop a block from the NC; returns the state it had (None if absent)."""
+        entry = self._nc_tags[node_idx].pop(block, None)
+        if entry is None or self._org == _INFINITE_NC:
+            return entry
+        self._nc_sets[node_idx][(block >> self._nc_shift) & self._nc_mask].remove(entry)
+        return entry.state
+
+    def _nc_downgrade(self, node_idx: int, block: int) -> None:
+        """Mark a dirty NC copy clean (its data went home or up to an L1)."""
+        tags = self._nc_tags[node_idx]
+        entry = tags.get(block)
+        if self._org == _INFINITE_NC:
+            if entry == _NC_DIRTY:
+                tags[block] = _NC_CLEAN
+        elif entry is not None and entry.state == _NC_DIRTY:
+            entry.state = _NC_CLEAN
+
+    def _nc_evicted(self, node_idx: int, block: int, dirty: bool) -> None:
         """Dispose of a block replaced out of the NC, enforcing inclusion."""
         c = self.counters
         c.nc_evictions += 1
-        block = ev.block
-        dirty = ev.dirty
-        inclusion = node.nc.inclusion
-        if inclusion is InclusionPolicy.DIRTY_ONLY:
-            for l1 in node.l1s:
-                ln = l1.peek(block)
-                if ln is not None and (ln.state == _M or ln.state == _O):
-                    l1.remove(block)
+        org = self._org
+        if org == _DIRTY_INCL_NC:
+            for tags, sets in self._node_l1s[node_idx]:
+                if block not in tags:
+                    continue
+                ln = tags[block]
+                if ln.state == _M or ln.state == _O:
+                    del tags[block]
+                    sets[block & self._l1_mask].remove(ln)
                     c.nc_inclusion_evictions += 1
                     dirty = True
                     break  # at most one dirty copy within the cluster
-        elif inclusion is InclusionPolicy.FULL:
-            for l1 in node.l1s:
-                ln = l1.remove(block)
+        elif org == _FULL_INCL_NC:
+            for tags, sets in self._node_l1s[node_idx]:
+                ln = tags.pop(block, None)
                 if ln is not None:
+                    sets[block & self._l1_mask].remove(ln)
                     c.nc_inclusion_evictions += 1
                     if ln.state == _M or ln.state == _O:
                         dirty = True
 
         page = block >> self._bpp_bits
-        node_idx = node.node_id
         tr = self._tracer
         if tr is not None:
             tr.emit(
@@ -917,34 +1007,50 @@ class Simulator:
     # inter-cluster actions
     # ------------------------------------------------------------------
 
+    def _invalidate_others(self, others: int, owner: int, block: int, page: int) -> None:
+        """Invalidate each cluster in the ``others`` mask (the flushed
+        ``owner``, or -1, lost its copies already and is not counted)."""
+        n_inval = 0
+        for cl in range(self._n_nodes):
+            if (others >> cl) & 1:
+                n_inval += 1
+                if cl != owner:
+                    self._invalidate_cluster(cl, block, page)
+        self.counters.remote_invalidations += n_inval - (
+            owner >= 0 and (others >> owner) & 1
+        )
+
     def _invalidate_cluster(self, cl: int, block: int, page: int) -> None:
         """Deliver an invalidation for a (clean-copy) block to one cluster."""
         if self._tracer is not None:
             self._tracer.emit("invalidate", self.now, node=cl, block=block)
-        node = self._nodes[cl]
         found = False
-        for l1 in node.l1s:
-            ln = l1.remove(block)
+        for tags, sets in self._node_l1s[cl]:
+            ln = tags.pop(block, None)
             if ln is not None:
+                sets[block & self._l1_mask].remove(ln)
                 found = True
                 if ln.state == _M or ln.state == _O:
                     raise ProtocolError(
                         f"invalidation found a dirty copy of {block:#x} in "
                         f"cluster {cl}; owner flush should have handled it"
                     )
-        st = node.nc.invalidate(block)
+        st = self._nc_remove(cl, block)
         if st is not None:
             found = True
         if st == _NC_DIRTY:
             raise ProtocolError(
                 f"invalidation found a dirty NC copy of {block:#x} in cluster {cl}"
             )
-        if node.pc is not None:
-            pc_state = node.pc.block_state(page, block & self._bpp_mask)
+        frames = self._pc_frames[cl]
+        frame = frames.get(page) if frames is not None else None
+        if frame is not None:
+            offset = block & self._bpp_mask
+            pc_state = frame.states[offset]
+            frame.states[offset] = _PC_INVALID
             if pc_state != _PC_INVALID:
                 found = True
-            was_dirty = node.pc.invalidate_block(page, block & self._bpp_mask)
-            if was_dirty:
+            if pc_state == _NC_DIRTY:
                 raise ProtocolError(
                     f"invalidation found a dirty PC copy of {block:#x} in "
                     f"cluster {cl}"
@@ -954,10 +1060,10 @@ class Simulator:
             # victimisation added predicts a coherence miss now, so undo it
             if self._dir_counters is not None:
                 self._dir_counters.decrement(page, cl)
-            elif node.nc_counters is not None:
-                set_idx = node.nc.set_index_of(block)
-                if set_idx is not None:
-                    node.nc_counters.decrement(set_idx)
+            elif self._nc_counts[cl] is not None:
+                self._nodes[cl].nc_counters.decrement(
+                    (block >> self._nc_shift) & self._nc_mask
+                )
 
     def _flush_owner(self, cl: int, block: int, page: int, for_write: bool) -> None:
         """The directory's owner must surrender its dirty copy.
@@ -974,33 +1080,34 @@ class Simulator:
                 node=cl, block=block,
                 detail="write" if for_write else "read",
             )
-        node = self._nodes[cl]
+        pc = self._nodes[cl].pc
         offset = block & self._bpp_mask
         found = False
-        for l1 in node.l1s:
-            ln = l1.peek(block)
+        for tags, sets in self._node_l1s[cl]:
+            ln = tags.get(block)
             if ln is not None and (ln.state == _M or ln.state == _O):
                 if for_write:
-                    l1.remove(block)
+                    del tags[block]
+                    sets[block & self._l1_mask].remove(ln)
                 else:
                     ln.state = _S
                     # a stale-dirty frame below the L1 copy cleans too
-                    node.nc.downgrade(block)
+                    self._nc_downgrade(cl, block)
                 found = True
                 break
         if not found:
-            if node.nc.probe(block) == _NC_DIRTY:
+            if self._nc_state(cl, block) == _NC_DIRTY:
                 if for_write:
-                    node.nc.invalidate(block)
+                    self._nc_remove(cl, block)
                 else:
-                    node.nc.downgrade(block)
+                    self._nc_downgrade(cl, block)
                 found = True
-        if not found and node.pc is not None:
-            if node.pc.block_state(page, offset) == _NC_DIRTY:
+        if not found and pc is not None:
+            if pc.block_state(page, offset) == _NC_DIRTY:
                 if for_write:
-                    node.pc.invalidate_block(page, offset)
+                    pc.invalidate_block(page, offset)
                 else:
-                    node.pc.mark_clean(page, offset)
+                    pc.mark_clean(page, offset)
                 found = True
         if not found:
             raise ProtocolError(
@@ -1009,11 +1116,13 @@ class Simulator:
             )
         if for_write:
             # every remaining (clean) copy in the owner cluster dies too
-            for l1 in node.l1s:
-                l1.remove(block)
-            node.nc.invalidate(block)
-            if node.pc is not None:
-                node.pc.invalidate_block(page, offset)
+            for tags, sets in self._node_l1s[cl]:
+                ln = tags.pop(block, None)
+                if ln is not None:
+                    sets[block & self._l1_mask].remove(ln)
+            self._nc_remove(cl, block)
+            if pc is not None:
+                pc.invalidate_block(page, offset)
         else:
             c.writebacks_remote += 1  # the sharing write-back crosses the network
             if tr is not None:
@@ -1026,22 +1135,16 @@ class Simulator:
     # page relocation
     # ------------------------------------------------------------------
 
-    def _record_nc_victimization(self, node: Node, block: int) -> None:
-        """A victim entered the NC; `vxp` may trigger a page relocation."""
-        self.counters.nc_insertions += 1
+    def _relocate_predominant(self, node: Node, set_idx: int) -> None:
+        """A `vxp` set counter passed the threshold: relocate the page
+        with the most tags in the set."""
         counters = node.nc_counters
-        if counters is None:
-            return
         nc = node.nc
-        set_idx = nc.set_index_of(block)
-        assert set_idx is not None and node.threshold is not None
-        if not counters.record_victimization(set_idx, node.threshold.value):
-            return
         pc = node.pc
         assert pc is not None and isinstance(nc, VictimNC)
-        exclude = {b >> self._bpp_bits for b in nc.set_blocks(set_idx) if (
-            b >> self._bpp_bits) in pc}
-        page = counters.predominant_page(nc.set_blocks(set_idx), exclude)
+        blocks = nc.set_blocks(set_idx)
+        exclude = {b >> self._bpp_bits for b in blocks if (b >> self._bpp_bits) in pc}
+        page = counters.predominant_page(blocks, exclude)
         counters.reset(set_idx)
         if page is not None:
             self._relocate_page(node, page)
@@ -1085,12 +1188,13 @@ class Simulator:
         for offset in range(self.config.blocks_per_page):
             block = base + offset
             dirty = frame.states[offset] == _NC_DIRTY
-            for l1 in node.l1s:
-                ln = l1.remove(block)
-                if ln is not None and (ln.state == _M or ln.state == _O):
-                    dirty = True
-            st = node.nc.invalidate(block)
-            if st == _NC_DIRTY:
+            for tags, sets in self._node_l1s[node_idx]:
+                ln = tags.pop(block, None)
+                if ln is not None:
+                    sets[block & self._l1_mask].remove(ln)
+                    if ln.state == _M or ln.state == _O:
+                        dirty = True
+            if self._nc_remove(node_idx, block) == _NC_DIRTY:
                 dirty = True
             if dirty:
                 c.pc_flush_writebacks += 1

@@ -15,8 +15,10 @@ Invariants checked
    *remote* block implies directory ownership (home-cluster M via silent
    E->M is the allowed exception).
 3. **Presence over-approximation**: any node holding a valid copy of a
-   remote block has its presence bit set (non-notifying protocols may
-   over-report, never under-report).
+   block has its presence bit set (non-notifying protocols may
+   over-report, never under-report).  This includes L1 copies in the
+   block's home cluster: the simulator skips the home-bus snoop of a
+   remote access when the home's bit is clear.
 4. **Exclusivity of E/M**: an E or M copy is the only valid copy
    machine-wide (O is shared-dirty and exempt).
 5. **NC discipline**: NCs hold only remote blocks; a victim NC never
@@ -141,13 +143,12 @@ def _check_block(machine: Machine, block: int) -> None:
                     "directory ownership"
                 )
 
-    # 3. presence over-approximation
+    # 3. presence over-approximation, the home cluster included
     mask = machine.directory.presence_mask(block)
     for nid in valid_nodes:
-        if nid != home and not (mask >> nid) & 1:
+        if not (mask >> nid) & 1:
             _fail(
-                f"node {nid} holds remote block {block:#x} without a "
-                "presence bit"
+                f"node {nid} holds block {block:#x} without a presence bit"
             )
 
 

@@ -44,11 +44,11 @@ def block_runs(
     return region.start + words * WORD
 
 
-def zipf_ranks(rng: np.random.Generator, n_items: int, n_samples: int, alpha: float) -> np.ndarray:
-    """Sample item ranks from a bounded power-law (Zipf) distribution.
+def zipf_cdf(n_items: int, alpha: float) -> np.ndarray:
+    """The normalised CDF of a bounded power law over ``n_items`` ranks.
 
-    Rank 0 is the most popular.  Implemented by inverse-CDF over explicit
-    weights, so it is exact and bounded (numpy's ``zipf`` is unbounded).
+    Building it draws no random numbers, so a generator builds it once per
+    trace and samples it with :func:`zipf_sample` on every iteration.
     """
     if n_items <= 0:
         raise TraceError("n_items must be positive")
@@ -58,8 +58,21 @@ def zipf_ranks(rng: np.random.Generator, n_items: int, n_samples: int, alpha: fl
     weights = ranks ** (-alpha)
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    u = rng.random(n_samples)
-    return np.searchsorted(cdf, u).astype(np.int64)
+    return cdf
+
+
+def zipf_sample(rng: np.random.Generator, cdf: np.ndarray, n_samples: int) -> np.ndarray:
+    """``n_samples`` ranks drawn by inverting a :func:`zipf_cdf`."""
+    return np.searchsorted(cdf, rng.random(n_samples)).astype(np.int64)
+
+
+def zipf_ranks(rng: np.random.Generator, n_items: int, n_samples: int, alpha: float) -> np.ndarray:
+    """Sample item ranks from a bounded power-law (Zipf) distribution.
+
+    Rank 0 is the most popular.  Implemented by inverse-CDF over explicit
+    weights, so it is exact and bounded (numpy's ``zipf`` is unbounded).
+    """
+    return zipf_sample(rng, zipf_cdf(n_items, alpha), n_samples)
 
 
 def uniform_words(rng: np.random.Generator, region: Region, n: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..patterns import sequential_words, zipf_ranks
+from ..patterns import sequential_words, zipf_cdf, zipf_sample
 from ..record import TraceSpec
 from ..regions import PAGE, Layout
 from .base import Phase, SyntheticBenchmark
@@ -72,14 +72,13 @@ class Cholesky(SyntheticBenchmark):
         # panels differ per processor (an irregular schedule) but overlap
         # across processors through the shared Zipf head
         perms = [rng.permutation(n_panels) for _ in range(n)]
+        cdf = zipf_cdf(n_panels, self.zipf_alpha)
 
         phases: List[Phase] = []
         for it in range(self.n_iters):
             phase: Phase = []
             for p in range(n):
-                ranks = zipf_ranks(
-                    rng, n_panels, self.panels_per_task, self.zipf_alpha
-                )
+                ranks = zipf_sample(rng, cdf, self.panels_per_task)
                 pieces = []
                 for r in ranks.tolist():
                     panel = perms[p][r] if r % 2 else r  # mix shared + private heat

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..patterns import block_runs, sequential_words, zipf_ranks
+from ..patterns import block_runs, sequential_words, zipf_cdf, zipf_sample
 from ..record import TraceSpec
 from ..regions import Layout, place_partitions, place_round_robin
 from .base import Phase, SyntheticBenchmark
@@ -70,6 +70,7 @@ class NBodyBenchmark(SyntheticBenchmark):
             rng.integers(0, n_cells, size=interest, dtype=np.int64) for _ in range(n)
         ]
 
+        hot_cdf = zipf_cdf(n_cells, self.zipf_alpha)
         phases: List[Phase] = []
         for it in range(self.n_iters):
             phase: Phase = []
@@ -81,7 +82,7 @@ class NBodyBenchmark(SyntheticBenchmark):
 
                 n_hot = int(walk_reads * self.hot_fraction) // 2
                 n_cold = (walk_reads - n_hot * 2) // 2
-                hot = zipf_ranks(rng, n_cells, n_hot, self.zipf_alpha)
+                hot = zipf_sample(rng, hot_cdf, n_hot)
                 own = iset[rng.integers(0, interest, size=n_cold)]
                 targets = np.concatenate([hot, own])
                 rng.shuffle(targets)

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..patterns import block_runs, sequential_words, zipf_ranks
+from ..patterns import block_runs, sequential_words, zipf_cdf, zipf_sample
 from ..record import TraceSpec
 from ..regions import Layout, place_partitions, place_round_robin
 from .base import Phase, SyntheticBenchmark
@@ -60,13 +60,14 @@ class Raytrace(SyntheticBenchmark):
 
         # per-processor object permutation: only the Zipf head is shared
         perms = [rng.permutation(n_objects) for _ in range(n)]
+        cdf = zipf_cdf(n_objects, self.zipf_alpha)
 
         phases: List[Phase] = []
         for chunk in range(self.n_chunks):
             phase: Phase = []
             for p in range(n):
                 n_reads = rays * self.reads_per_ray
-                ranks = zipf_ranks(rng, n_objects, n_reads, self.zipf_alpha)
+                ranks = zipf_sample(rng, cdf, n_reads)
                 hot = ranks < max(8, n_objects // 50)
                 objs = np.where(hot, ranks, perms[p][ranks])
                 # read the first 2 words of 2 of the object's 3 blocks

@@ -370,7 +370,7 @@ class TestManifests:
         results, wall = self._sweep()
         m = build_manifest(results, refs=REFS, seed=1, jobs=3, wall_s=wall)
         core = manifest_core(m)
-        for key in ("created_unix", "timing", "git_sha", "version"):
+        for key in ("created_unix", "timing", "git_sha", "version", "environment"):
             assert key not in core
         assert "jobs" not in core["parameters"]
         for cell in core["cells"]:
