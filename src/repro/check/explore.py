@@ -36,8 +36,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..errors import ModelCheckViolation, ReproError, VerificationError
 from ..params import NCConfig, SystemConfig, ThresholdPolicy
 from ..rdc.adaptive import AdaptiveThreshold
-from ..rdc.infinite import InfiniteNC
-from ..rdc.none import NullNC
 from ..rdc.pagecache import PageFrame
 from ..sim.simulator import Simulator
 from ..sim.validate import check_machine
@@ -114,23 +112,6 @@ def tiny_check_config(
 # ----------------------------------------------------------------------
 
 
-def _cache_snapshot(cache) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    # normalise states to plain ints: the simulator stores a mix of ints
-    # and IntEnum members, which compare equal but hash into != tuples
-    return tuple(
-        tuple((block, int(state)) for block, state in lines)
-        for lines in cache.set_contents()
-    )
-
-
-def _nc_snapshot(nc) -> Tuple[Any, ...]:
-    if isinstance(nc, NullNC):
-        return ()
-    if isinstance(nc, InfiniteNC):
-        return tuple(sorted((b, int(s)) for b, s in nc._lines.items()))
-    return _cache_snapshot(nc._cache)
-
-
 def _pc_snapshot(pc, keep_hits: bool) -> Optional[Tuple[Any, ...]]:
     """Frames in least-recently-missed order, clocks abstracted to ranks.
 
@@ -171,8 +152,8 @@ def canonical_state(machine: Machine) -> State:
     """A hashable, behaviour-complete snapshot of the whole machine."""
     nodes = tuple(
         (
-            tuple(_cache_snapshot(l1) for l1 in node.l1s),
-            _nc_snapshot(node.nc),
+            tuple(l1.set_contents() for l1 in node.l1s),
+            node.nc.snapshot(),
             _pc_snapshot(node.pc, isinstance(node.threshold, AdaptiveThreshold)),
             _threshold_snapshot(node.threshold),
             tuple(node.nc_counters._counts) if node.nc_counters is not None else None,
@@ -223,12 +204,7 @@ def load_state(sim: Simulator, state: State) -> None:
     ):
         for l1, snap in zip(node.l1s, l1s_snap):
             l1.load_contents(snap)
-        nc = node.nc
-        if isinstance(nc, InfiniteNC):
-            nc._lines.clear()
-            nc._lines.update({b: s for b, s in nc_snap})
-        elif not isinstance(nc, NullNC):
-            nc._cache.load_contents(nc_snap)
+        node.nc.load(nc_snap)
         if pc_snap is not None:
             frames = node.pc._frames
             frames.clear()

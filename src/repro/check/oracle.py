@@ -1217,31 +1217,8 @@ class OracleSimulator:
 
 def machine_snapshot(machine) -> Dict[str, Any]:
     """The optimised simulator's final state in the oracle's snapshot shape."""
-    from ..rdc.infinite import InfiniteNC
-    from ..rdc.none import NullNC
-
-    l1s = tuple(
-        tuple(
-            tuple((line.block, int(line.state)) for line in lines)
-            for lines in l1._sets
-        )
-        for node in machine.nodes
-        for l1 in node.l1s
-    )
-    ncs = []
-    for node in machine.nodes:
-        nc = node.nc
-        if isinstance(nc, NullNC):
-            ncs.append(())
-        elif isinstance(nc, InfiniteNC):
-            ncs.append(tuple(sorted((b, int(s)) for b, s in nc._lines.items())))
-        else:
-            ncs.append(
-                tuple(
-                    tuple((line.block, int(line.state)) for line in lines)
-                    for lines in nc._cache._sets
-                )
-            )
+    l1s = tuple(l1.set_contents() for node in machine.nodes for l1 in node.l1s)
+    ncs = tuple(node.nc.snapshot() for node in machine.nodes)
     if machine.nodes and machine.nodes[0].pc is not None:
         pcs: Optional[Tuple[Any, ...]] = tuple(
             tuple(
@@ -1265,7 +1242,7 @@ def machine_snapshot(machine) -> Dict[str, Any]:
         thresholds = tuple(node.threshold.value for node in machine.nodes)
     return {
         "l1s": l1s,
-        "ncs": tuple(ncs),
+        "ncs": ncs,
         "pcs": pcs,
         "directory": directory,
         "placement": dict(machine.placement._home),

@@ -156,10 +156,14 @@ class SetAssocCache:
         residency, states, and the exact LRU order — so two caches with
         equal snapshots are behaviourally indistinguishable.  Used by the
         model checker (:mod:`repro.check.explore`) to canonicalise and to
-        reconstruct machine states.
+        reconstruct machine states, and by the differential oracle.
+
+        States are normalised to plain ints: the simulator stores a mix of
+        ints and IntEnum members, which compare equal but hash differently,
+        so unnormalised snapshots would not work as set or dict keys.
         """
         return tuple(
-            tuple((line.block, line.state) for line in lines) for lines in self._sets
+            tuple((line.block, int(line.state)) for line in lines) for lines in self._sets
         )
 
     def load_contents(
@@ -175,13 +179,6 @@ class SetAssocCache:
                 self._tag[block] = line
 
     # ---- observability snapshots (repro.obs.metrics) --------------------
-
-    def state_counts(self) -> Dict[int, int]:
-        """Resident lines per state value (a point-in-time snapshot)."""
-        counts: Dict[int, int] = {}
-        for line in self._tag.values():
-            counts[line.state] = counts.get(line.state, 0) + 1
-        return counts
 
     def set_occupancies(self) -> List[int]:
         """Lines resident in each set, in set order."""

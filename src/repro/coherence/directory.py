@@ -18,8 +18,11 @@ faithfully: an invalidation may be sent to a cluster that no longer holds
 the block.
 
 The directory is a pure bookkeeping object; moving data, downgrading the
-owner's cached copy, and delivering invalidations are the simulator's job,
-driven by the :class:`DirectoryReply` returned from :meth:`Directory.access`.
+owner's cached copy, and delivering invalidations are the simulator's job.
+The simulator runs the directory transaction of a miss inline over the
+entries (classify, update presence and ownership, flush the owner,
+invalidate the other sharers); this class keeps the upgrade and
+write-back transactions and the inspection queries.
 """
 
 from __future__ import annotations
@@ -27,43 +30,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError
-from ..stats import MissClass
-
-_CAPACITY = MissClass.CAPACITY
-_NECESSARY = MissClass.NECESSARY
-
-
-class DirectoryReply:
-    """What the home node tells the requester (and the simulator) to do.
-
-    A plain ``__slots__`` record rather than a dataclass: one is built per
-    directory access, squarely on the simulator's miss path.
-    """
-
-    __slots__ = ("miss_class", "owner_to_flush", "invalidate")
-
-    def __init__(
-        self,
-        miss_class: MissClass,
-        owner_to_flush: Optional[int],
-        invalidate: Tuple[int, ...],
-    ) -> None:
-        self.miss_class = miss_class
-        #: cluster that holds the dirty copy and must supply/flush it, or None
-        self.owner_to_flush = owner_to_flush
-        #: clusters whose copies must be invalidated (writes only)
-        self.invalidate = invalidate
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DirectoryReply({self.miss_class}, owner={self.owner_to_flush}, "
-            f"invalidate={self.invalidate})"
-        )
-
-
-#: shared replies for accesses that require no flush and no invalidations
-_NOOP_NECESSARY = DirectoryReply(_NECESSARY, None, ())
-_NOOP_CAPACITY = DirectoryReply(_CAPACITY, None, ())
 
 
 class Directory:
@@ -87,64 +53,6 @@ class Directory:
         self.now = 0
 
     # ---- protocol operations -------------------------------------------
-
-    def access(self, block: int, cluster: int, is_write: bool) -> DirectoryReply:
-        """A cluster fetches a block from its home node.
-
-        Classifies the miss, updates presence/ownership, and reports which
-        other clusters must act (dirty-owner flush, invalidations).
-        """
-        bit = 1 << cluster
-        entry = self._entries.get(block)
-        if entry is None:
-            entry = [0, -1]
-            self._entries[block] = entry
-        presence, owner = entry
-
-        miss_class = _CAPACITY if presence & bit else _NECESSARY
-
-        if owner == cluster:
-            # The requester supposedly holds the dirty copy, yet the request
-            # escaped its cluster: the NC/PC lookup that should have hit was
-            # skipped.  Always a simulator bug.
-            raise ProtocolError(
-                f"cluster {cluster} re-requested block {block:#x} it owns dirty"
-            )
-
-        owner_to_flush = owner if owner >= 0 else None
-
-        if is_write:
-            others = presence & ~bit
-            if others:
-                invalidate = tuple(
-                    c for c in range(self.n_nodes) if (others >> c) & 1
-                )
-            else:
-                invalidate = ()
-            entry[0] = bit
-            entry[1] = cluster
-        else:
-            invalidate = ()
-            entry[0] = presence | bit
-            # A read of a dirty block forces a sharing write-back: memory is
-            # updated, ownership is dropped (no O state in MESIR).
-            entry[1] = -1
-
-        tr = self._tracer
-        if tr is not None:
-            tr.emit(
-                "dir_access",
-                self.now,
-                node=cluster,
-                block=block,
-                detail=miss_class.value,
-            )
-
-        if owner_to_flush is None and not invalidate:
-            # nothing for the requester to do — the overwhelmingly common
-            # case; reuse immutable replies instead of allocating one per miss
-            return _NOOP_CAPACITY if miss_class is _CAPACITY else _NOOP_NECESSARY
-        return DirectoryReply(miss_class, owner_to_flush, invalidate)
 
     def upgrade(self, block: int, cluster: int) -> Tuple[int, ...]:
         """A cluster writes a block it holds shared; invalidate other copies.
@@ -218,10 +126,6 @@ class Directory:
         removes the (behaviourally irrelevant) creation order of entries.
         """
         return sorted((b, e[0], e[1]) for b, e in self._entries.items())
-
-    def load_entries(self, entries: "List[Tuple[int, int, int]]") -> None:
-        """Restore a snapshot produced by :meth:`entries`."""
-        self._entries = {b: [presence, owner] for b, presence, owner in entries}
 
     def owned_blocks(self):
         """Blocks with a recorded dirty owner (validator sweep)."""

@@ -234,8 +234,7 @@ def run_metrics(counters, machine, tracer=None) -> Snapshot:
         for l1 in node.l1s:
             l1_lines += len(l1)
             l1_frames += l1.n_sets * l1.assoc
-        nc_stats = node.nc.stats()
-        nc_lines += int(nc_stats.get("resident", 0))
+        nc_lines += len(node.nc)
         for occ in node.nc.set_occupancies():
             nc_hist.record(occ)
         if node.pc is not None:

@@ -154,7 +154,7 @@ class StallProfiler:
         nodes = machine.nodes
 
         def occupancy() -> int:
-            return sum(int(node.nc.stats().get("resident", 0)) for node in nodes)
+            return sum(len(node.nc) for node in nodes)
 
         self._occupancy_of = occupancy
 

@@ -1,28 +1,19 @@
-"""Remote data caches: every NC organisation in the paper, plus the page cache.
+"""Remote data caches: the network cache, plus the page cache.
 
-The network-cache classes are deliberately *mechanical*: they store remote
-blocks and apply their allocation/replacement policy, reporting evictions
-back to the caller.  Everything that needs cluster context (forcing L1
-copies out for inclusion, absorbing dirty victims into the page cache,
-relocation decisions) lives in :mod:`repro.sim.simulator`.
+The storage classes here are deliberately *mechanical*: they hold remote
+blocks and pages and answer inspection queries.  Every policy that needs
+cluster context (allocation, replacement, forcing L1 copies out for
+inclusion, absorbing dirty victims into the page cache, relocation
+decisions) runs in :mod:`repro.sim.simulator`.
 
-Organisations
--------------
-`NullNC`
-    no network cache (the `base` system).
-`VictimNC`
-    the paper's proposal (Sec. 3): captures blocks victimised by the
-    processor caches, no inclusion, block- or page-indexed; a hit swaps the
-    block back into the L1 (two-level exclusive caching).
-`DirtyInclusionNC`
-    the `nc` configuration: allocates a frame on every remote fetch,
-    inclusion relaxed for clean blocks but maintained for dirty ones.
-`FullInclusionDramNC`
-    the `NCD` configuration: large, slow, full inclusion (NC eviction kicks
-    every L1 copy out of the cluster).
-`InfiniteNC`
-    unbounded NC used for the `NCS` ideal and for the infinite-DRAM
-    normalisation reference of Figs. 9-11.
+Structures
+----------
+`NetworkCache`
+    one node's NC for every organisation of the paper, selected by
+    :class:`~repro.params.NCKind`: none (`base`), the victim cache of
+    Sec. 3 (`vb`, `vp`), the dirty-inclusion SRAM NC (`nc`), the
+    full-inclusion DRAM NC (`NCD`), and the infinite SRAM/DRAM NCs (`NCS`
+    and the normalisation reference of Figs. 9-11).
 `PageCache`
     Simple-COMA style page cache with LRM replacement and block-grain
     states.
@@ -31,25 +22,13 @@ Organisations
     counters; fixed and adaptive relocation thresholds.
 """
 
-from .base import InclusionPolicy, NCEviction, NetworkCache
-from .none import NullNC
-from .victim import VictimNC
-from .sram import DirtyInclusionNC
-from .dram import FullInclusionDramNC
-from .infinite import InfiniteNC
+from .nc import NetworkCache
 from .pagecache import PageCache, PageFrame
 from .relocation import DirectoryRelocationCounters, NCSetRelocationCounters
 from .adaptive import AdaptiveThreshold, FixedThreshold, ThresholdState
 
 __all__ = [
-    "InclusionPolicy",
-    "NCEviction",
     "NetworkCache",
-    "NullNC",
-    "VictimNC",
-    "DirtyInclusionNC",
-    "FullInclusionDramNC",
-    "InfiniteNC",
     "PageCache",
     "PageFrame",
     "DirectoryRelocationCounters",

@@ -22,10 +22,11 @@ model is contention-free, so counts x constants is exact).
 
 The miss path works on the machine's structures directly: the
 constructor prebinds every node's L1 tag maps and sets, NC storage, page
-frames and relocation counters, and the NC organisation (the same on
-every node) selects one fused chain per step.  The :mod:`repro.rdc`
-classes define each organisation's behaviour and keep their API for
-their own tests, :mod:`repro.sim.validate` and the model checker.
+frames and relocation counters, and the NC organisation
+(``config.nc.kind``, the same on every node) selects one fused chain per
+step.  This module is the only place the organisations' policies run:
+:class:`~repro.rdc.nc.NetworkCache` only holds the storage, and no path
+here calls a method of it.
 
 Invariant checked throughout (and by the hypothesis tests): at most one
 dirty copy of any block machine-wide; the directory's owner always has the
@@ -38,12 +39,8 @@ from __future__ import annotations
 from ..coherence.cache import CacheLine
 from ..coherence.states import MESIR, NCState, PCBlockState
 from ..errors import ProtocolError
-from ..params import BusProtocol, SystemConfig
-from ..rdc.base import InclusionPolicy
-from ..rdc.infinite import InfiniteNC
-from ..rdc.none import NullNC
+from ..params import BusProtocol, NCKind, SystemConfig
 from ..rdc.pagecache import PageFrame
-from ..rdc.victim import VictimNC
 from ..stats import Counters
 from ..system.machine import Machine
 from ..system.node import Node
@@ -59,20 +56,12 @@ _NC_CLEAN = int(NCState.CLEAN)  # PCBlockState uses the same values
 _NC_DIRTY = int(NCState.DIRTY)
 _PC_INVALID = int(PCBlockState.INVALID)
 
-# NC organisations: each selects one fused chain on the miss path
-_NO_NC, _VICTIM_NC, _DIRTY_INCL_NC, _FULL_INCL_NC, _INFINITE_NC = range(5)
-
-
-def _organisation(nc) -> int:
-    if isinstance(nc, VictimNC):
-        return _VICTIM_NC
-    if isinstance(nc, InfiniteNC):
-        return _INFINITE_NC
-    if isinstance(nc, NullNC):
-        return _NO_NC
-    if nc.inclusion is InclusionPolicy.FULL:
-        return _FULL_INCL_NC
-    return _DIRTY_INCL_NC
+# NC organisations: each selects one fused chain on the miss path (the two
+# infinite kinds share one, selected by NCConfig.is_infinite)
+_NO_NC = NCKind.NONE
+_VICTIM_NC = NCKind.VICTIM
+_DIRTY_INCL_NC = NCKind.DIRTY_INCLUSION
+_FULL_INCL_NC = NCKind.DRAM_FULL_INCLUSION
 
 
 class Simulator:
@@ -131,16 +120,15 @@ class Simulator:
         ]
         self._peer_tags = [[tag for tag, _ in peers] for peers in self._peer_l1s]
         # NCs: a tag map per node (block -> CacheLine for the set-associative
-        # organisations, block -> state for InfiniteNC, empty for NullNC)
-        self._org = org = _organisation(nodes[0].nc) if nodes else _NO_NC
-        finite = org in (_VICTIM_NC, _DIRTY_INCL_NC, _FULL_INCL_NC)
-        caches = [node.nc._cache for node in nodes] if finite else []
-        if finite:
-            self._nc_tags = [cache._tag for cache in caches]
-        elif org == _INFINITE_NC:
-            self._nc_tags = [node.nc._lines for node in nodes]
-        else:
-            self._nc_tags = [{} for _ in nodes]  # never filled
+        # organisations, block -> state for the infinite ones, an empty map
+        # that is never filled without an NC)
+        self._org = cfg.nc.kind
+        self._nc_infinite = cfg.nc.is_infinite
+        caches = [node.nc.cache for node in nodes if node.nc.cache is not None]
+        self._nc_tags = [
+            node.nc.lines if node.nc.cache is None else node.nc.cache._tag
+            for node in nodes
+        ]
         self._nc_sets = [cache._sets for cache in caches]
         self._nc_shift = caches[0]._shift if caches else 0
         self._nc_mask = caches[0]._set_mask if caches else 0
@@ -295,11 +283,11 @@ class Simulator:
                 sets[block & mask].remove(ln)
         if home != node_idx:  # the NC and the PC hold remote blocks only
             org = self._org
-            if org == _VICTIM_NC:
+            if org is _VICTIM_NC:
                 # a polluting clean copy, if any
                 if self._nc_remove(node_idx, block) is not None and tr is not None:
                     tr.emit("nc_pollution", self.now, node=node_idx, block=block)
-            elif org == _DIRTY_INCL_NC or org == _FULL_INCL_NC:
+            elif org is _DIRTY_INCL_NC or org is _FULL_INCL_NC:
                 # inclusion NCs must regain a frame for the soon-dirty
                 # block; an existing dirty frame becomes stale-clean
                 # (ownership moves up to the writing L1)
@@ -363,8 +351,8 @@ class Simulator:
             self._remote_access(pid, node_idx, block, page, home, is_write)
             return
 
-        # 4a. local home memory.  Directory.access inlined, as in
-        # _remote_access; its dir_access event precedes the owner flush
+        # 4a. local home memory.  The directory transaction runs inline, as
+        # in _remote_access; its dir_access event precedes the owner flush
         # and the invalidations.
         c = self.counters
         bit = 1 << node_idx
@@ -442,14 +430,14 @@ class Simulator:
                     sets[block & mask].remove(ln)
             if not local:  # the NC and the PC hold remote blocks only
                 org = self._org
-                if org == _VICTIM_NC:
+                if org is _VICTIM_NC:
                     if self._nc_remove(node_idx, block) is not None and tr is not None:
                         tr.emit("nc_pollution", self.now, node=node_idx, block=block)
-                elif org == _INFINITE_NC:
+                elif self._nc_infinite:
                     tags = self._nc_tags[node_idx]
                     if block in tags:
                         tags[block] = _NC_CLEAN  # ownership moves to the L1
-                elif org != _NO_NC:
+                elif org is not _NO_NC:
                     # stale-clean the frame (promoted to MRU), keep inclusion
                     ln = self._nc_tags[node_idx].get(block)
                     if ln is not None:
@@ -499,8 +487,7 @@ class Simulator:
     ) -> None:
         """The NC holds the block: one fused service per organisation."""
         tags = self._nc_tags[node_idx]
-        org = self._org
-        if org == _VICTIM_NC:
+        if self._org is _VICTIM_NC:
             # exclusive: the frame swaps straight back into the L1
             line = tags.pop(block)
             self._nc_sets[node_idx][(block >> self._nc_shift) & self._nc_mask].remove(line)
@@ -509,7 +496,7 @@ class Simulator:
         else:
             # inclusive and infinite NCs keep the frame (and the dirtiness,
             # if any); a write hands ownership up, the copy goes stale-clean
-            if org == _INFINITE_NC:
+            if self._nc_infinite:
                 st = tags[block]
                 if is_write:
                     tags[block] = _NC_CLEAN
@@ -585,10 +572,10 @@ class Simulator:
         self, pid: int, node_idx: int, block: int, page: int, home: int, is_write: bool
     ) -> None:
         c = self.counters
-        # Directory.access inlined (this is every monitored remote access):
-        # same bookkeeping, but no DirectoryReply object and no invalidation
-        # tuple — the presence mask is walked directly in the rare case one
-        # is needed.
+        # The directory transaction of every monitored remote access runs
+        # inline: classify the miss, update presence and ownership.  The
+        # presence mask is walked directly in the rare case invalidations
+        # are needed.
         bit = 1 << node_idx
         entry = self._dir_entries.get(block)
         if entry is None:
@@ -646,8 +633,8 @@ class Simulator:
             self._profiler.on_remote(self.now, is_write)
         tr = self._tracer
         if tr is not None:
-            # Directory.access is inlined above, so the event is emitted
-            # here (the directory object never sees this transaction)
+            # the directory transaction ran inline above, so the event is
+            # emitted here (the directory object never sees it)
             tr.emit(
                 "dir_access", self.now,
                 node=node_idx, block=block,
@@ -684,9 +671,9 @@ class Simulator:
         else:
             # allocate-on-miss NCs take a frame for the fetched block
             org = self._org
-            if org == _INFINITE_NC:
+            if self._nc_infinite:
                 self._nc_tags[node_idx].setdefault(block, _NC_CLEAN)
-            elif org == _DIRTY_INCL_NC or org == _FULL_INCL_NC:
+            elif org is _DIRTY_INCL_NC or org is _FULL_INCL_NC:
                 self._nc_fetch(node_idx, block)
             fill = _M if is_write else _R
 
@@ -770,7 +757,7 @@ class Simulator:
                     if frame.states[offset] == _PC_INVALID:
                         frame.states[offset] = _NC_CLEAN  # deposit, LRM untouched
                     return
-            if self._org != _NO_NC:
+            if self._org is not _NO_NC:
                 self._nc_accept(node_idx, block, False)
             return
         if st != _M and st != _O:
@@ -796,7 +783,7 @@ class Simulator:
                         node=node_idx, block=block, detail="pc",
                     )
                 return
-        if self._org != _NO_NC and self._nc_accept(node_idx, block, True):
+        if self._org is not _NO_NC and self._nc_accept(node_idx, block, True):
             return
         c.writebacks_remote += 1
         if tr is not None:
@@ -823,34 +810,32 @@ class Simulator:
         tags = self._nc_tags[node_idx]
         org = self._org
         evicted = None
-        if org == _VICTIM_NC:
+        if org is _VICTIM_NC:
             set_idx = (block >> self._nc_shift) & self._nc_mask
-            if dirty:
-                # the rarer dirty capture goes through VictimNC itself: it is
-                # the seam the checkers' fault-injection tests patch
-                absorbed, ev = self._nodes[node_idx].nc.accept_dirty_victim(block)
-                if not absorbed:
-                    return False
-                if ev is not None:
-                    evicted = ev.block
-                    evicted_dirty = ev.dirty
-            elif block not in tags:
-                # a clean capture recycles the line it evicts (nothing keeps
-                # a reference to an evicted NC line); a block already
-                # captured stays as it is
+            line = tags.get(block)
+            if line is not None:
+                # a block captured earlier keeps its LRU place; a dirty
+                # victim (a downgrade write-back landing on its clean copy)
+                # dirties it
+                if dirty:
+                    line.state = _NC_DIRTY
+            else:
+                # a capture recycles the line it evicts (nothing keeps a
+                # reference to an evicted NC line)
+                state = _NC_DIRTY if dirty else _NC_CLEAN
                 lines = self._nc_sets[node_idx][set_idx]
                 if len(lines) < self._nc_assoc:
-                    line = CacheLine(block, _NC_CLEAN)
+                    line = CacheLine(block, state)
                 else:
                     line = lines.pop(0)
                     evicted = line.block
                     evicted_dirty = line.state == _NC_DIRTY
                     del tags[evicted]
                     line.block = block
-                    line.state = _NC_CLEAN
+                    line.state = state
                 lines.append(line)
                 tags[block] = line
-        elif org == _INFINITE_NC:
+        elif self._nc_infinite:
             if dirty:
                 tags[block] = _NC_DIRTY
             else:
@@ -923,14 +908,14 @@ class Simulator:
     def _nc_state(self, node_idx: int, block: int):
         """The NC state of a block (None when absent), without side effects."""
         entry = self._nc_tags[node_idx].get(block)
-        if entry is None or self._org == _INFINITE_NC:
+        if entry is None or self._nc_infinite:
             return entry
         return entry.state
 
     def _nc_remove(self, node_idx: int, block: int):
         """Drop a block from the NC; returns the state it had (None if absent)."""
         entry = self._nc_tags[node_idx].pop(block, None)
-        if entry is None or self._org == _INFINITE_NC:
+        if entry is None or self._nc_infinite:
             return entry
         self._nc_sets[node_idx][(block >> self._nc_shift) & self._nc_mask].remove(entry)
         return entry.state
@@ -939,7 +924,7 @@ class Simulator:
         """Mark a dirty NC copy clean (its data went home or up to an L1)."""
         tags = self._nc_tags[node_idx]
         entry = tags.get(block)
-        if self._org == _INFINITE_NC:
+        if self._nc_infinite:
             if entry == _NC_DIRTY:
                 tags[block] = _NC_CLEAN
         elif entry is not None and entry.state == _NC_DIRTY:
@@ -950,7 +935,7 @@ class Simulator:
         c = self.counters
         c.nc_evictions += 1
         org = self._org
-        if org == _DIRTY_INCL_NC:
+        if org is _DIRTY_INCL_NC:
             for tags, sets in self._node_l1s[node_idx]:
                 if block not in tags:
                     continue
@@ -961,7 +946,7 @@ class Simulator:
                     c.nc_inclusion_evictions += 1
                     dirty = True
                     break  # at most one dirty copy within the cluster
-        elif org == _FULL_INCL_NC:
+        elif org is _FULL_INCL_NC:
             for tags, sets in self._node_l1s[node_idx]:
                 ln = tags.pop(block, None)
                 if ln is not None:
@@ -1139,10 +1124,9 @@ class Simulator:
         """A `vxp` set counter passed the threshold: relocate the page
         with the most tags in the set."""
         counters = node.nc_counters
-        nc = node.nc
         pc = node.pc
-        assert pc is not None and isinstance(nc, VictimNC)
-        blocks = nc.set_blocks(set_idx)
+        assert pc is not None
+        blocks = [line.block for line in self._nc_sets[node.node_id][set_idx]]
         exclude = {b >> self._bpp_bits for b in blocks if (b >> self._bpp_bits) in pc}
         page = counters.predominant_page(blocks, exclude)
         counters.reset(set_idx)

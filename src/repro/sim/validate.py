@@ -24,8 +24,9 @@ Invariants checked
 5. **NC discipline**: NCs hold only remote blocks; a victim NC never
    holds a block an L1 in the same node holds *clean* is allowed (the
    pollution case) but duplicate dirty is not (covered by 1).
-6. **Inclusion**: under FULL inclusion every remote block in an L1 has an
-   NC frame; under DIRTY_ONLY every L1 dirty remote block has one.
+6. **Inclusion**: with a full-inclusion NC (``DRAM_FULL_INCLUSION``)
+   every remote block in an L1 has an NC frame; with a dirty-inclusion NC
+   (``DIRTY_INCLUSION``) every dirty remote block in an L1 has one.
 7. **PC discipline**: page caches hold only remote pages; capacity is
    respected.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import List
 
 from ..coherence.states import MESIR, NCState, PCBlockState
-from ..rdc.base import InclusionPolicy
+from ..params import NCKind
 from ..system.machine import Machine
 
 _DIRTY_L1 = (int(MESIR.M), int(MESIR.O))
@@ -154,9 +155,10 @@ def _check_block(machine: Machine, block: int) -> None:
 
 def _check_structures(machine: Machine) -> None:
     cfg = machine.config
+    kind = cfg.nc.kind
     for node in machine.nodes:
         nc = node.nc
-        if nc.inclusion is InclusionPolicy.FULL:
+        if kind is NCKind.DRAM_FULL_INCLUSION:
             for l1 in node.l1s:
                 for ln in l1.lines():
                     page = ln.block // cfg.blocks_per_page
@@ -167,7 +169,7 @@ def _check_structures(machine: Machine) -> None:
                             f"full inclusion violated: node {node.node_id} "
                             f"caches {ln.block:#x} without an NC frame"
                         )
-        elif nc.inclusion is InclusionPolicy.DIRTY_ONLY:
+        elif kind is NCKind.DIRTY_INCLUSION:
             for l1 in node.l1s:
                 for ln in l1.lines():
                     if ln.state not in _DIRTY_L1:

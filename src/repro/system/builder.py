@@ -46,14 +46,9 @@ from ..params import (
     ThresholdPolicy,
 )
 from ..rdc.adaptive import AdaptiveThreshold, FixedThreshold
-from ..rdc.base import NetworkCache
-from ..rdc.dram import FullInclusionDramNC
-from ..rdc.infinite import InfiniteNC
-from ..rdc.none import NullNC
+from ..rdc.nc import NetworkCache
 from ..rdc.pagecache import PageCache
 from ..rdc.relocation import DirectoryRelocationCounters, NCSetRelocationCounters
-from ..rdc.sram import DirtyInclusionNC
-from ..rdc.victim import VictimNC
 from .machine import Machine
 from .node import make_node
 from .placement import FirstTouchPlacement
@@ -183,24 +178,6 @@ def system_config(
     )
 
 
-def _make_nc(config: SystemConfig) -> NetworkCache:
-    nc = config.nc
-    if nc.kind is NCKind.NONE:
-        return NullNC()
-    if nc.kind is NCKind.INFINITE_SRAM:
-        return InfiniteNC(is_dram=False)
-    if nc.kind is NCKind.INFINITE_DRAM:
-        return InfiniteNC(is_dram=True)
-    geometry = nc.geometry(config.block_size)
-    if nc.kind is NCKind.VICTIM:
-        return VictimNC(geometry, nc.indexing, config.blocks_per_page)
-    if nc.kind is NCKind.DIRTY_INCLUSION:
-        return DirtyInclusionNC(geometry)
-    if nc.kind is NCKind.DRAM_FULL_INCLUSION:
-        return FullInclusionDramNC(geometry)
-    raise ConfigurationError(f"unhandled NC kind {nc.kind}")  # pragma: no cover
-
-
 def build_machine(
     config: SystemConfig,
     dataset_bytes: int = 0,
@@ -220,7 +197,7 @@ def build_machine(
 
     nodes = []
     for node_id in range(config.n_nodes):
-        nc = _make_nc(config)
+        nc = NetworkCache(config)
         pc = None
         threshold = None
         nc_counters = None
@@ -237,9 +214,9 @@ def build_machine(
             else:
                 threshold = FixedThreshold(pc_cfg.initial_threshold)
             if pc_cfg.counters is RelocationCounters.NC_SET:
-                assert isinstance(nc, VictimNC)
+                assert nc.cache is not None
                 nc_counters = NCSetRelocationCounters(
-                    nc.n_sets,
+                    nc.cache.n_sets,
                     config.blocks_per_page.bit_length() - 1,
                     sharing=pc_cfg.nc_counter_sharing,
                 )

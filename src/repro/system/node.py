@@ -12,7 +12,7 @@ from typing import List, Optional
 from ..coherence.cache import SetAssocCache
 from ..params import SystemConfig
 from ..rdc.adaptive import ThresholdState
-from ..rdc.base import NetworkCache
+from ..rdc.nc import NetworkCache
 from ..rdc.pagecache import PageCache
 from ..rdc.relocation import NCSetRelocationCounters
 
@@ -49,7 +49,7 @@ class Node:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Node({self.node_id}, procs={self.n_procs}, "
-            f"nc={type(self.nc).__name__}, pc={'yes' if self.pc else 'no'})"
+            f"nc={self.nc.kind.value}, pc={'yes' if self.pc else 'no'})"
         )
 
 

@@ -19,9 +19,7 @@ from repro.check.explore import (
     tiny_check_config,
 )
 from repro.coherence.directory import Directory
-from repro.coherence.states import NCState
 from repro.errors import ModelCheckViolation, VerificationError
-from repro.rdc.victim import VictimNC
 
 # (states, transitions, max_depth) for the default tiny geometry
 # (2 clusters x 2 procs, 1-line L1, 2-line NC, 2 blocks, fixed threshold 1)
@@ -105,14 +103,9 @@ def test_injected_lost_invalidation_is_caught(monkeypatch):
     assert "->" in str(violation)
 
 
-def test_injected_dropped_dirty_bit_is_caught(monkeypatch):
+def test_injected_dropped_dirty_bit_is_caught(dropped_dirty_bit):
     """A victim NC that silently cleans dirty write-backs loses the only
     up-to-date copy; the checker must notice."""
-    monkeypatch.setattr(
-        VictimNC,
-        "accept_dirty_victim",
-        lambda self, block: self._accept(block, NCState.CLEAN),
-    )
     with pytest.raises(ModelCheckViolation) as exc_info:
         explore_variant("vb")
     assert exc_info.value.path  # a concrete minimal reproduction exists

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.check.fuzz import (
     DEFAULT_FUZZ_SYSTEMS,
     STRATEGIES,
@@ -16,8 +14,7 @@ from repro.check.fuzz import (
     run_fuzz,
     shrink_case,
 )
-from repro.coherence.states import NCState
-from repro.rdc.victim import VictimNC
+from tests.check.conftest import drop_victim_dirty_bits
 
 
 def test_generation_is_deterministic():
@@ -45,16 +42,6 @@ def test_case_json_round_trip():
     case = generate_case("ncs", 7, "upgrade_race")
     clone = FuzzCase.from_dict(json.loads(json.dumps(case.as_dict())))
     assert clone == case
-
-
-@pytest.fixture
-def dropped_dirty_bit(monkeypatch):
-    """Inject: the victim NC silently cleans dirty write-backs."""
-    monkeypatch.setattr(
-        VictimNC,
-        "accept_dirty_victim",
-        lambda self, block: self._accept(block, NCState.CLEAN),
-    )
 
 
 def test_fuzzer_finds_injected_bug_and_shrinks(dropped_dirty_bit, tmp_path):
@@ -93,11 +80,7 @@ def test_shrinking_is_deterministic(dropped_dirty_bit):
 def test_healed_artifact_replays_clean(tmp_path, monkeypatch):
     # write an artifact while broken, replay after the monkeypatch is undone
     with monkeypatch.context() as m:
-        m.setattr(
-            VictimNC,
-            "accept_dirty_victim",
-            lambda self, block: self._accept(block, NCState.CLEAN),
-        )
+        drop_victim_dirty_bits(m)
         report = run_fuzz(
             seed=3, max_cases=4 * len(DEFAULT_FUZZ_SYSTEMS),
             out_dir=str(tmp_path), case_length=192,

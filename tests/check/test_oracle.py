@@ -10,10 +10,8 @@ from repro.check.oracle import (
     diff_parallel_sweep,
     machine_snapshot,
 )
-from repro.coherence.states import NCState
 from repro.errors import ConfigurationError, OracleDivergenceError
 from repro.params import BusProtocol
-from repro.rdc.victim import VictimNC
 from repro.sim.runner import get_trace
 from repro.sim.simulator import Simulator
 from repro.system.builder import build_machine, system_config
@@ -56,14 +54,9 @@ def test_oracle_rejects_moesir():
         OracleSimulator(config)
 
 
-def test_divergence_is_detected_and_localised(monkeypatch):
+def test_divergence_is_detected_and_localised(dropped_dirty_bit):
     """With a bug injected into the optimised simulator only, diff_cell
     must raise and name the first diverging reference."""
-    monkeypatch.setattr(
-        VictimNC,
-        "accept_dirty_victim",
-        lambda self, block: self._accept(block, NCState.CLEAN),
-    )
     with pytest.raises(OracleDivergenceError) as exc_info:
         diff_cell("vb", "radix", refs=REFS, seed=1, scale=SCALE)
     err = exc_info.value

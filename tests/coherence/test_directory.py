@@ -1,12 +1,20 @@
-"""Unit tests for the full-map, non-notifying home directory."""
+"""The full-map, non-notifying home directory.
+
+`TestAccess` drives a miss's directory transaction, which the simulator
+runs inline, through a 4-cluster tiny machine; the other classes test the
+:class:`Directory` object's own transactions and queries.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.coherence.directory import Directory
+from repro.coherence.states import MESIR
 from repro.errors import ProtocolError
-from repro.stats import MissClass
+from tests.conftest import Harness, addr, tiny_config
+
+BLOCK = addr(0, 0x10) >> 6
 
 
 @pytest.fixture
@@ -14,59 +22,78 @@ def d():
     return Directory(n_nodes=4)
 
 
+@pytest.fixture
+def h():
+    """Clusters 0-3 of two processors each; page 0 lives at cluster 3."""
+    harness = Harness(tiny_config("base", n_nodes=4))
+    harness.home(0, 3)
+    return harness
+
+
+def pid(cluster: int) -> int:
+    """The first processor of a cluster."""
+    return 2 * cluster
+
+
 class TestAccess:
-    def test_first_access_is_necessary(self, d):
-        reply = d.access(0x10, 1, False)
-        assert reply.miss_class is MissClass.NECESSARY
-        assert reply.owner_to_flush is None
-        assert reply.invalidate == ()
+    def test_first_access_is_necessary(self, h):
+        h.read(pid(1), addr(0, 0x10))
+        assert h.counters.remote_necessary == 1
+        assert h.counters.remote_capacity == 0
+        assert h.counters.remote_invalidations == h.counters.writebacks_remote == 0
 
-    def test_reaccess_is_capacity(self, d):
-        d.access(0x10, 1, False)
-        reply = d.access(0x10, 1, False)
-        assert reply.miss_class is MissClass.CAPACITY
+    def test_reaccess_is_capacity(self, h):
+        h.read(pid(1), addr(0, 0x10))
+        h.evict(pid(1), addr(0, 0x10))
+        h.read(pid(1), addr(0, 0x10))
+        assert h.counters.remote_capacity == 1
 
-    def test_read_sets_presence(self, d):
-        d.access(0x10, 1, False)
-        assert d.is_present(0x10, 1)
-        assert not d.is_present(0x10, 2)
+    def test_read_sets_presence(self, h):
+        h.read(pid(1), addr(0, 0x10))
+        assert h.machine.directory.is_present(BLOCK, 1)
+        assert not h.machine.directory.is_present(BLOCK, 2)
 
-    def test_write_claims_ownership(self, d):
-        d.access(0x10, 1, True)
-        assert d.owner(0x10) == 1
-        assert d.presence_mask(0x10) == 0b0010
+    def test_write_claims_ownership(self, h):
+        h.write(pid(1), addr(0, 0x10))
+        assert h.machine.directory.owner(BLOCK) == 1
+        assert h.machine.directory.presence_mask(BLOCK) == 0b0010
 
-    def test_write_invalidates_other_sharers(self, d):
-        d.access(0x10, 0, False)
-        d.access(0x10, 2, False)
-        reply = d.access(0x10, 1, True)
-        assert set(reply.invalidate) == {0, 2}
-        assert d.presence_mask(0x10) == 0b0010
+    def test_write_invalidates_other_sharers(self, h):
+        h.read(pid(0), addr(0, 0x10))
+        h.read(pid(2), addr(0, 0x10))
+        h.write(pid(1), addr(0, 0x10))
+        assert h.counters.remote_invalidations == 2
+        assert h.l1_state(pid(0), addr(0, 0x10)) is None
+        assert h.l1_state(pid(2), addr(0, 0x10)) is None
+        assert h.machine.directory.presence_mask(BLOCK) == 0b0010
 
-    def test_write_after_write_flushes_owner(self, d):
-        d.access(0x10, 0, True)
-        reply = d.access(0x10, 1, True)
-        assert reply.owner_to_flush == 0
-        assert 0 in reply.invalidate
-        assert d.owner(0x10) == 1
+    def test_write_after_write_flushes_owner(self, h):
+        h.write(pid(0), addr(0, 0x10))
+        h.write(pid(1), addr(0, 0x10))
+        assert h.l1_state(pid(0), addr(0, 0x10)) is None  # flushed
+        assert h.counters.remote_invalidations == 0  # not counted twice
+        assert h.machine.directory.owner(BLOCK) == 1
 
-    def test_read_of_dirty_block_clears_owner(self, d):
-        d.access(0x10, 0, True)
-        reply = d.access(0x10, 1, False)
-        assert reply.owner_to_flush == 0
-        assert d.owner(0x10) is None
-        assert d.is_present(0x10, 0)  # still a sharer
+    def test_read_of_dirty_block_clears_owner(self, h):
+        h.write(pid(0), addr(0, 0x10))
+        h.read(pid(1), addr(0, 0x10))
+        assert h.l1_state(pid(0), addr(0, 0x10)) == MESIR.S  # still a sharer
+        assert h.counters.writebacks_remote == 1
+        assert h.machine.directory.owner(BLOCK) is None
+        assert h.machine.directory.is_present(BLOCK, 0)
 
-    def test_invalidated_cluster_refetch_is_necessary(self, d):
-        d.access(0x10, 0, False)
-        d.access(0x10, 1, True)  # invalidates cluster 0
-        reply = d.access(0x10, 0, False)
-        assert reply.miss_class is MissClass.NECESSARY
+    def test_invalidated_cluster_refetch_is_necessary(self, h):
+        h.read(pid(0), addr(0, 0x10))
+        h.write(pid(1), addr(0, 0x10))  # invalidates cluster 0
+        h.read(pid(0), addr(0, 0x10))
+        assert h.counters.remote_necessary == 3
+        assert h.counters.remote_capacity == 0
 
-    def test_owner_rerequest_raises(self, d):
-        d.access(0x10, 0, True)
-        with pytest.raises(ProtocolError):
-            d.access(0x10, 0, False)
+    def test_owner_rerequest_raises(self, h):
+        h.write(pid(0), addr(0, 0x10))
+        h.l1(pid(0)).remove(BLOCK)  # the dirty copy vanishes without a write-back
+        with pytest.raises(ProtocolError, match="re-requested"):
+            h.read(pid(0), addr(0, 0x10))
 
 
 class TestUpgrade:
@@ -76,31 +103,30 @@ class TestUpgrade:
         assert d.owner(0x20) == 2
 
     def test_upgrade_invalidates_sharers(self, d):
-        d.access(0x20, 0, False)
-        d.access(0x20, 3, False)
+        d._entries[0x20] = [0b1001, -1]  # clusters 0 and 3 share it
         invalidate = d.upgrade(0x20, 0)
         assert invalidate == (3,)
         assert d.presence_mask(0x20) == 0b0001
 
     def test_upgrade_by_owner_allowed(self, d):
-        d.access(0x20, 0, True)
+        d.upgrade(0x20, 0)
         assert d.upgrade(0x20, 0) == ()
 
     def test_upgrade_while_other_owner_raises(self, d):
-        d.access(0x20, 0, True)
+        d.upgrade(0x20, 0)
         with pytest.raises(ProtocolError):
             d.upgrade(0x20, 1)
 
 
 class TestWriteback:
     def test_writeback_clears_owner_keeps_presence(self, d):
-        d.access(0x30, 2, True)
+        d.upgrade(0x30, 2)
         d.writeback(0x30, 2)
         assert d.owner(0x30) is None
         assert d.is_present(0x30, 2)  # the R-NUMA modification
 
     def test_writeback_by_non_owner_raises(self, d):
-        d.access(0x30, 2, True)
+        d.upgrade(0x30, 2)
         with pytest.raises(ProtocolError):
             d.writeback(0x30, 1)
 
@@ -108,19 +134,20 @@ class TestWriteback:
         with pytest.raises(ProtocolError):
             d.writeback(0x99, 0)
 
-    def test_capacity_after_writeback(self, d):
+    def test_capacity_after_writeback(self, h):
         """Presence bits stay on across write-backs => capacity on refetch."""
-        d.access(0x30, 2, True)
-        d.writeback(0x30, 2)
-        reply = d.access(0x30, 2, False)
-        assert reply.miss_class is MissClass.CAPACITY
+        h.write(pid(2), addr(0, 0x10))
+        h.evict(pid(2), addr(0, 0x10))  # the dirty copy is written home
+        assert h.counters.writebacks_remote == 1
+        h.read(pid(2), addr(0, 0x10))
+        assert h.counters.remote_capacity == 1
 
 
 class TestInspection:
     def test_entries_created_lazily(self, d):
         assert d.n_entries() == 0
-        d.access(1, 0, False)
-        d.access(2, 0, False)
+        d.upgrade(1, 0)
+        d.upgrade(2, 0)
         assert d.n_entries() == 2
 
     def test_presence_mask_of_unknown_block(self, d):

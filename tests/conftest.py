@@ -26,10 +26,14 @@ def addr(page: int, block_off: int = 0, word: int = 0) -> int:
 class Harness:
     """A tiny machine plus scripted access helpers."""
 
+    #: :meth:`evict` reads its filler blocks from pages at this address on
+    FILLER_BASE = 1 << 30
+
     def __init__(self, config: SystemConfig, dataset_bytes: int = 1 << 22):
         self.config = config
         self.machine = build_machine(config, dataset_bytes=dataset_bytes)
         self.sim = Simulator(self.machine)
+        self._next_filler = self.FILLER_BASE
 
     # -- direct protocol drivers -------------------------------------
 
@@ -42,6 +46,20 @@ class Harness:
 
     def write(self, pid: int, a: int) -> None:
         self.sim.step(pid, a, True)
+
+    def evict(self, pid: int, a: int) -> None:
+        """Push the block at ``a`` out of pid's L1: read one block per way
+        into its set, each from a fresh page homed in pid's node, so the
+        fillers always miss and never enter an NC themselves."""
+        node = pid // self.config.procs_per_node
+        cache = self.config.cache
+        # stepping by whole pages and whole L1 ways keeps the set index
+        stride = max(PAGE, cache.size // cache.assoc)
+        for _ in range(cache.assoc):
+            filler = self._next_filler + a % stride
+            self._next_filler += stride
+            self.home(filler // PAGE, node)
+            self.read(pid, filler)
 
     # -- state inspection ----------------------------------------------
 

@@ -371,7 +371,7 @@ class TestFullInclusionNCD:
 
     def test_is_dram_latency_class(self, make_harness):
         h = make_harness("ncd")
-        assert h.machine.nodes[0].nc.is_dram
+        assert h.config.nc.is_dram
 
 
 class TestPageCache:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.coherence.states import MESIR
+from repro.coherence.states import MESIR, NCState
 from repro.sim.runner import get_trace
 from repro.sim.simulator import Simulator
 from repro.sim.validate import InvariantViolation, check_machine
@@ -26,8 +26,8 @@ class TestDetectsViolations:
     def test_exclusive_with_other_copies(self):
         m = build_machine(system_config("base"))
         m.placement.touch(1, 0)
-        m.directory.access(64, 0, True)
-        m.directory.access(65, 1, False)
+        m.directory._entries[64] = [0b01, 0]  # cluster 0 owns it
+        m.directory._entries[65] = [0b10, -1]
         m.l1_of(0).insert(64, int(MESIR.M))
         m.l1_of(4).insert(64, int(MESIR.S))
         with pytest.raises(InvariantViolation, match="E/M"):
@@ -36,14 +36,14 @@ class TestDetectsViolations:
     def test_owner_without_dirty_copy(self):
         m = build_machine(system_config("base"))
         m.placement.touch(1, 0)
-        m.directory.access(64, 1, True)  # cluster 1 claims ownership
+        m.directory.upgrade(64, 1)  # cluster 1 claims ownership
         with pytest.raises(InvariantViolation, match="owns"):
             check_machine(m)
 
     def test_remote_dirty_without_ownership(self):
         m = build_machine(system_config("base"))
         m.placement.touch(1, 0)  # home node 0
-        m.directory.access(64, 1, False)  # presence only
+        m.directory._entries[64] = [0b10, -1]  # presence only
         m.l1_of(4).insert(64, int(MESIR.M))  # node 1 dirty, unregistered
         with pytest.raises(InvariantViolation, match="without"):
             check_machine(m)
@@ -58,16 +58,24 @@ class TestDetectsViolations:
     def test_nc_holding_local_block(self):
         m = build_machine(system_config("vb"))
         m.placement.touch(1, 2)
-        m.nodes[2].nc.accept_clean_victim(64)
+        m.nodes[2].nc.cache.insert(64, NCState.CLEAN)
         with pytest.raises(InvariantViolation, match="local block"):
             check_machine(m)
 
     def test_full_inclusion_hole(self):
         m = build_machine(system_config("ncd"))
         m.placement.touch(1, 1)
-        m.directory.access(64, 0, False)
+        m.directory._entries[64] = [0b01, -1]
         m.l1_of(0).insert(64, int(MESIR.S))  # L1 copy without NC frame
         with pytest.raises(InvariantViolation, match="full inclusion"):
+            check_machine(m)
+
+    def test_dirty_inclusion_hole(self):
+        m = build_machine(system_config("nc"))
+        m.placement.touch(1, 1)
+        m.directory.upgrade(64, 0)  # node 0 owns the remote block
+        m.l1_of(0).insert(64, int(MESIR.M))  # dirty L1 copy without NC frame
+        with pytest.raises(InvariantViolation, match="dirty inclusion"):
             check_machine(m)
 
     def test_clean_machine_passes(self):

@@ -13,11 +13,6 @@ from repro.params import (
     ThresholdPolicy,
 )
 from repro.rdc.adaptive import AdaptiveThreshold, FixedThreshold
-from repro.rdc.dram import FullInclusionDramNC
-from repro.rdc.infinite import InfiniteNC
-from repro.rdc.none import NullNC
-from repro.rdc.sram import DirtyInclusionNC
-from repro.rdc.victim import VictimNC
 from repro.system.builder import (
     SYSTEM_NAMES,
     build_machine,
@@ -114,21 +109,23 @@ class TestSystemConfigs:
 
 
 class TestBuildMachine:
+    # the ids keep the names of the NC classes these kinds replaced, so
+    # the test ids stay stable
     @pytest.mark.parametrize(
-        "name,nc_type",
+        "name,kind",
         [
-            ("base", NullNC),
-            ("nc", DirtyInclusionNC),
-            ("vb", VictimNC),
-            ("vp", VictimNC),
-            ("ncs", InfiniteNC),
-            ("dinf", InfiniteNC),
-            ("ncd", FullInclusionDramNC),
+            pytest.param("base", NCKind.NONE, id="base-NullNC"),
+            pytest.param("nc", NCKind.DIRTY_INCLUSION, id="nc-DirtyInclusionNC"),
+            pytest.param("vb", NCKind.VICTIM, id="vb-VictimNC"),
+            pytest.param("vp", NCKind.VICTIM, id="vp-VictimNC"),
+            pytest.param("ncs", NCKind.INFINITE_SRAM, id="ncs-InfiniteNC"),
+            pytest.param("dinf", NCKind.INFINITE_DRAM, id="dinf-InfiniteNC"),
+            pytest.param("ncd", NCKind.DRAM_FULL_INCLUSION, id="ncd-FullInclusionDramNC"),
         ],
     )
-    def test_nc_instantiation(self, name, nc_type):
+    def test_nc_instantiation(self, name, kind):
         m = build_machine(system_config(name))
-        assert all(isinstance(n.nc, nc_type) for n in m.nodes)
+        assert all(n.nc.kind is kind for n in m.nodes)
 
     def test_nodes_and_caches(self):
         m = build_machine(system_config("base"))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.coherence.states import MESIR
+from repro.coherence.states import MESIR, NCState
 from repro.system.builder import build_machine, system_config
 from repro.system.placement import FirstTouchPlacement
 
@@ -58,5 +58,5 @@ class TestMachineInspection:
 
     def test_valid_copy_sees_nc(self):
         m = build_machine(system_config("vb"))
-        m.nodes[2].nc.accept_clean_victim(0x40)
+        m.nodes[2].nc.cache.insert(0x40, NCState.CLEAN)
         assert m.valid_copy_nodes(0x40) == {2}
