@@ -94,7 +94,7 @@ def main(argv=None) -> int:
     os.environ.pop("REPRO_FAULTS", None)
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from repro.faults import FAULTS_ENV, FaultPlan
+    from repro.faults import FaultPlan
     from repro.sim.parallel import RecoveryLog
     from repro.obs.manifest import maybe_write_sweep_manifest
 
@@ -111,14 +111,14 @@ def main(argv=None) -> int:
 
     clear_disk_trace_cache()
     plan = FaultPlan.parse(FAULT_SPEC)
-    os.environ[FAULTS_ENV] = plan.spec()
+    os.environ["REPRO_FAULTS"] = plan.spec()
     print(f"[2/3] chaos sweep under {plan.spec()!r}")
     recovery = RecoveryLog()
     chaotic = run_sweep(
         args.refs, args.scale, args.jobs, run_dir=str(run_dir),
         recovery=recovery,
     )
-    os.environ.pop(FAULTS_ENV, None)
+    os.environ.pop("REPRO_FAULTS", None)
     print(f"      recovery: {recovery.counts or '(none)'}")
     maybe_write_sweep_manifest(
         chaotic,

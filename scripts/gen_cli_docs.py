@@ -4,7 +4,7 @@
 The reference is derived, never hand-written: every subcommand of
 :func:`repro.cli.build_parser` contributes its help text, usage line,
 and full option table, plus the environment variables the package reads
-(collected from the modules that define them).  CI runs ``--check`` so
+(rendered from :data:`repro.params.SETTINGS`).  CI runs ``--check`` so
 the committed file can never drift from the actual parser — change a
 flag, regenerate, or the docs job fails.
 
@@ -32,53 +32,17 @@ from repro.cli import build_parser  # noqa: E402
 
 OUT_PATH = REPO / "docs" / "CLI.md"
 
-#: (variable, consumed by, meaning) — the package's environment surface.
-#: Names are imported where a module exports the constant, so a rename
-#: breaks this script rather than silently documenting a dead variable.
-def _env_rows():
-    from repro.obs.manifest import MANIFEST_ENV
-    from repro.service.store import SERVICE_DIR_ENV
 
-    return [
-        ("REPRO_JOBS", "`repro sweep`, `repro report`",
-         "default worker-process count for sweeps"),
-        ("REPRO_TRACE_CACHE", "`repro.trace.io`",
-         "on-disk trace cache directory (shared across processes)"),
-        (MANIFEST_ENV, "`repro.obs.manifest`",
-         "directory where every sweep drops its run manifest"),
-        (SERVICE_DIR_ENV, "`repro serve`",
-         "service state directory: result store + job journals"),
-        ("REPRO_STORE_MAX_BYTES", "`repro serve`",
-         "result-store size budget; LRU-evicts above it (0 = unbounded)"),
-        ("REPRO_MAX_QUEUED_JOBS", "`repro serve`",
-         "admission control: queued-job bound before 503s (0 = off)"),
-        ("REPRO_MAX_INFLIGHT_CELLS", "`repro serve`",
-         "admission control: queued+running cell bound (0 = off)"),
-        ("REPRO_JOB_TTL", "`repro serve`",
-         "seconds before terminal jobs are garbage-collected"),
-        ("REPRO_GC_INTERVAL", "`repro serve`",
-         "seconds between terminal-job GC sweeps"),
-        ("REPRO_DRAIN_TIMEOUT", "`repro serve`",
-         "graceful-drain budget in seconds on SIGTERM/SIGINT"),
-        ("REPRO_REQUEST_TIMEOUT", "`repro serve`",
-         "per-request read/write timeout in seconds"),
-        ("REPRO_MAX_RETRIES", "`repro.sim.parallel`",
-         "per-cell retry budget for fault-tolerant sweeps"),
-        ("REPRO_CELL_TIMEOUT", "`repro.sim.parallel`",
-         "per-cell wall-clock budget in seconds"),
-        ("REPRO_RETRY_BACKOFF", "`repro.sim.parallel`",
-         "base backoff in seconds between cell retries"),
-        ("REPRO_FAULTS", "`repro.sim.parallel`",
-         "fault-injection spec for chaos testing (see docs/ROBUSTNESS.md)"),
-        ("REPRO_PROFILE", "`repro.obs.profile`",
-         "attach the stall profiler to every run"),
-        ("REPRO_PROFILE_WINDOW", "`repro.obs.profile`",
-         "references per profiler time-series window"),
-        ("REPRO_BENCH_REFS", "`benchmarks/bench_core.py`",
-         "reference count for the perf-gate benchmarks"),
-        ("REPRO_GIT_SHA", "`repro.obs.manifest`",
-         "overrides the git SHA recorded in manifests"),
-    ]
+def _env_rows():
+    """One docs/CLI.md table row per :data:`repro.params.SETTINGS` entry."""
+    from repro.params import SETTINGS
+
+    for name, row in SETTINGS.items():
+        kind = row.kind.__name__
+        if row.floor is not None:
+            kind += f" {'>' if row.exclusive else '>='} {row.floor:g}"
+        default = "unset" if row.default is None else f"`{row.default:g}`"
+        yield f"| `{name}` | {kind} | {default} | {row.consumer} | {row.meaning} |"
 
 
 def _options_block(parser: argparse.ArgumentParser) -> str:
@@ -139,12 +103,15 @@ def generate() -> str:
     lines.extend([
         "## Environment variables",
         "",
-        "| Variable | Consumed by | Meaning |",
-        "|---|---|---|",
+        "Every `REPRO_*` variable, rendered from `repro.params.SETTINGS`.  A flag",
+        "wins over its variable; a value that does not parse or lies below its",
+        "bound fails with exit status `2`, naming the variable.",
+        "",
+        "| Variable | Type | Default | Consumed by | Meaning |",
+        "|---|---|---|---|---|",
+        *_env_rows(),
+        "",
     ])
-    for var, consumer, meaning in _env_rows():
-        lines.append(f"| `{var}` | {consumer} | {meaning} |")
-    lines.append("")
     return "\n".join(lines)
 
 

@@ -1373,34 +1373,26 @@ def diff_parallel_sweep(
     """Assert a serial sweep and a ``jobs=N`` parallel sweep are
     bit-identical; returns the number of compared cells.
 
-    Both sweeps run with the stall profiler enabled (via the same
-    ``$REPRO_PROFILE`` inheritance a ``--profile`` sweep uses), so the
-    comparison covers counters **and** the full metrics snapshot —
-    profile counters, stall histograms, and windowed series included.
+    Both sweeps run with the stall profiler enabled (``profile=True``, as
+    a ``--profile`` sweep does), so the comparison covers counters
+    **and** the full metrics snapshot — profile counters, stall
+    histograms, and windowed series included.
     Each cell's attributed stall is additionally checked for the Eq. 1
     conservation invariant: the per-component sum must equal
     ``remote_read_stall(counters, config)`` exactly.
     """
-    import os
-
-    from ..obs.profile import PROFILE_ENV, attributed_stall
+    from ..obs.profile import attributed_stall
     from ..sim.latency import remote_read_stall
     from ..sim.runner import sweep
 
     systems = list(systems)
     benchmarks = list(benchmarks)
-    saved = os.environ.get(PROFILE_ENV)
-    os.environ[PROFILE_ENV] = "1"
-    try:
-        serial = sweep(systems, benchmarks, refs=refs, seed=seed, scale=scale, jobs=1)
-        parallel = sweep(
-            systems, benchmarks, refs=refs, seed=seed, scale=scale, jobs=jobs
-        )
-    finally:
-        if saved is None:
-            os.environ.pop(PROFILE_ENV, None)
-        else:
-            os.environ[PROFILE_ENV] = saved
+    serial = sweep(
+        systems, benchmarks, refs=refs, seed=seed, scale=scale, jobs=1, profile=True
+    )
+    parallel = sweep(
+        systems, benchmarks, refs=refs, seed=seed, scale=scale, jobs=jobs, profile=True
+    )
     if set(serial) != set(parallel):
         raise OracleDivergenceError(
             ",".join(systems),

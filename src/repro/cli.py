@@ -62,7 +62,7 @@ from .analysis.charts import bar_chart
 from .analysis.report import format_grid
 from .errors import ReproError
 from .experiments import ALL_EXPERIMENTS
-from .params import BusProtocol, ThresholdPolicy
+from .params import SETTINGS, BusProtocol, ThresholdPolicy, setting
 from .sim.parallel import default_jobs, perf_json, throughput_report, timed_sweep
 from .sim.runner import (
     DEFAULT_REFS,
@@ -76,6 +76,11 @@ from .system.builder import SYSTEM_NAMES
 from .trace.io import save_trace
 from .trace.stats import characterize
 from .trace.synthetic import BENCHMARK_NAMES
+
+
+def _then_default(name: str) -> str:
+    """``$NAME, then <its SETTINGS default>``, for a flag's help text."""
+    return f"${name}, then {SETTINGS[name].default:g}"
 
 
 def _add_sim_options(p: argparse.ArgumentParser) -> None:
@@ -141,7 +146,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import os
 
-    from .faults import FAULTS_ENV, FaultPlan
+    from .faults import FaultPlan
     from .sim.parallel import RecoveryLog, resolve_policy
 
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
@@ -150,21 +155,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.jobs = default_jobs()
     # validate the retry/timeout knobs before any cell runs
     resolve_policy(max_retries=args.max_retries, cell_timeout=args.cell_timeout)
-    if args.profile or args.metric == "breakdown":
-        # export, don't just set a local: forked workers inherit the switch
-        from .obs.profile import PROFILE_ENV
-
-        os.environ[PROFILE_ENV] = "1"
     if args.inject_faults is not None:
         # parse eagerly (bad grammar fails now, not in a worker), then export
         # the canonical spec so forked workers inherit the same schedule
         plan = FaultPlan.parse(args.inject_faults)
-        os.environ[FAULTS_ENV] = plan.spec()
+        os.environ["REPRO_FAULTS"] = plan.spec()
     recovery = RecoveryLog()
     results = sweep(
         systems, benches, refs=args.refs, seed=args.seed, scale=args.scale,
         jobs=args.jobs, run_dir=args.resume, max_retries=args.max_retries,
-        cell_timeout=args.cell_timeout, recovery=recovery, **_sim_kwargs(args),
+        cell_timeout=args.cell_timeout, recovery=recovery,
+        profile=args.profile or args.metric == "breakdown", **_sim_kwargs(args),
     )
 
     if args.metric == "breakdown":
@@ -262,7 +263,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         report_summary_dict,
     )
     from .experiments.common import default_refs
-    from .obs.manifest import build_manifest, manifest_dir_from_env, write_manifest
+    from .obs.manifest import build_manifest, write_manifest
 
     if args.figures == "all":
         figures = list(REPORT_FIGURES)
@@ -298,7 +299,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     # the manifest backing the report: next to --out, else --manifest-dir,
     # else $REPRO_MANIFEST_DIR
-    manifest_dest = args.manifest_dir or manifest_dir_from_env()
+    manifest_dest = setting("REPRO_MANIFEST_DIR", args.manifest_dir)
     if args.out:
         manifest_dest = os.path.dirname(os.path.abspath(args.out))
     if manifest_dest:
@@ -601,7 +602,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
     from .errors import ModelCheckViolation, OracleDivergenceError
     from .obs import EventTracer
-    from .obs.manifest import build_manifest, manifest_dir_from_env, write_manifest
+    from .obs.manifest import build_manifest, write_manifest
 
     if args.replay:
         verdict = replay_artifact(args.replay)
@@ -692,7 +693,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if tracer is not None:
             tracer.close()
 
-    manifest_dest = args.manifest_dir or manifest_dir_from_env()
+    manifest_dest = setting("REPRO_MANIFEST_DIR", args.manifest_dir)
     if manifest_dest:
         summary["verdict"] = "fail" if failed else "pass"
         manifest = build_manifest(
@@ -745,24 +746,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chart", action="store_true",
                    help="draw horizontal bars instead of a number grid")
     p.add_argument("--profile", action="store_true",
-                   help="run the stall profiler in every cell (workers "
-                        "inherit it); profile data lands in each cell's "
-                        "metrics snapshot")
+                   help="run the stall profiler in every cell; profile data "
+                        "lands in each cell's metrics snapshot")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the matrix "
-                        "(default: REPRO_JOBS or CPU count)")
+                        "(default $REPRO_JOBS, then the CPU count)")
     p.add_argument("--resume", metavar="DIR", default=None,
                    help="journal completed cells in DIR and skip any already "
                         "recorded there; an interrupted sweep re-run with the "
                         "same DIR resumes bit-identically")
     p.add_argument("--max-retries", type=int, default=None, metavar="N",
                    help="attempts per cell beyond the first before the sweep "
-                        "fails (default: REPRO_MAX_RETRIES or 2)")
+                        f"fails (default {_then_default('REPRO_MAX_RETRIES')})")
     p.add_argument("--cell-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="per-cell wall-clock budget; a stuck cell's worker is "
-                        "killed and the cell retried (default: "
-                        "REPRO_CELL_TIMEOUT or unlimited)")
+                        "killed and the cell retried (default "
+                        "$REPRO_CELL_TIMEOUT, then unlimited)")
     p.add_argument("--inject-faults", metavar="SPEC", default=None,
                    help="deterministic fault injection for robustness "
                         "testing, e.g. 'seed=7;kill=0.5@1;slow=0.2:1.5' "
@@ -775,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the figure's sweeps "
-                        "(default: REPRO_JOBS or serial)")
+                        "(default $REPRO_JOBS, then serial)")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser(
@@ -785,12 +785,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figures", default="all",
                    help="comma-separated fig03..fig11 (default: all)")
     p.add_argument("--refs", type=int, default=None,
-                   help="references per trace (default: REPRO_BENCH_REFS "
-                        "or 400000; the pinned baseline is a 400000-ref run)")
+                   help="references per trace (default "
+                        f"{_then_default('REPRO_BENCH_REFS')}; the pinned "
+                        "baseline is a 400000-ref run)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the figure sweeps "
-                        "(default: REPRO_JOBS or serial)")
+                        "(default $REPRO_JOBS, then serial)")
     p.add_argument("--tolerance", type=float, default=5.0,
                    help="flag cells deviating more than this %% from the "
                         "baseline (default %(default)s)")
@@ -840,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset scale vs. Table 3 (default %(default)s)")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the real sweeps "
-                        "(default: REPRO_JOBS or CPU count)")
+                        "(default $REPRO_JOBS, then the CPU count)")
     p.add_argument("--families",
                    default="base,nc,vb,vp,ncd,p,ncp,vbp,vpp,vxp",
                    help="system families to search (default %(default)s)")
@@ -996,11 +997,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-queued-jobs", type=int, default=None,
                    help="admission control: queued jobs before submissions "
                         "are 503'd; 0 disables the bound (default "
-                        "$REPRO_MAX_QUEUED_JOBS, then 64)")
+                        f"{_then_default('REPRO_MAX_QUEUED_JOBS')})")
     p.add_argument("--max-inflight-cells", type=int, default=None,
                    help="admission control: queued+running sweep cells "
                         "before submissions are 503'd; 0 disables "
-                        "(default $REPRO_MAX_INFLIGHT_CELLS, then 4096)")
+                        f"(default {_then_default('REPRO_MAX_INFLIGHT_CELLS')})")
     p.add_argument("--job-ttl", type=float, default=None,
                    help="seconds a finished job is kept before TTL garbage "
                         "collection removes it (default $REPRO_JOB_TTL, "
@@ -1008,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drain-timeout", type=float, default=None,
                    help="graceful-shutdown seconds to let running jobs "
                         "finish before parking them at a cell boundary "
-                        "(default $REPRO_DRAIN_TIMEOUT, then 30)")
+                        f"(default {_then_default('REPRO_DRAIN_TIMEOUT')})")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("list", help="show systems/benchmarks/experiments")

@@ -4,8 +4,8 @@ Whole-file artifacts — cached traces, result-store entries, ``run.json``,
 ``job.json``/``result.json``, run manifests, the metrics snapshot — are
 written by :func:`write_atomic` (temp file, fsync, rename), so a reader
 sees the old file or the new one, never a torn one.  Caches that verify a
-digest on read park a bad file with :func:`quarantine`; best-effort
-readers use :func:`read_json`.  Telemetry feeds
+digest on read park a bad file with :func:`quarantine` and tell the
+caller's :data:`Note`; best-effort readers use :func:`read_json`.  Telemetry feeds
 (recovery actions, spans) are best-effort JSONL: :class:`JsonlSink`
 appends, :func:`read_jsonl` reads back and skips the torn tail a killed
 writer leaves.  The sweep journal is stricter (it fsyncs every record and
@@ -18,9 +18,18 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, Iterator, Optional, Union
+from typing import IO, Any, Callable, Dict, Iterable, Iterator, Optional, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+#: how a cache reports a recovery action (a quarantine, a skipped write)
+#: to the run that caused it: called as ``note(kind, detail=text)``,
+#: the shape of :meth:`repro.sim.parallel.RecoveryLog.note`
+Note = Callable[..., None]
+
+
+def ignore_note(kind: str, detail: str = "") -> None:
+    """The :data:`Note` of a caller that records no recovery actions."""
 
 
 def write_atomic(path: PathLike, data: Union[bytes, str]) -> None:
@@ -156,10 +165,9 @@ def remove_files(root: PathLike, patterns: Iterable[str]) -> int:
     return removed
 
 
-def cache_dir(env: str, sub: str) -> Path:
-    """``$<env>``, else ``$XDG_CACHE_HOME/repro/<sub>``, else
+def cache_dir(override: Optional[str], sub: str) -> Path:
+    """``override``, else ``$XDG_CACHE_HOME/repro/<sub>``, else
     ``~/.cache/repro/<sub>``."""
-    override = os.environ.get(env)
     if override:
         return Path(override)
     xdg = os.environ.get("XDG_CACHE_HOME")

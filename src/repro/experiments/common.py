@@ -17,10 +17,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..params import env_number
-from ..sim.parallel import env_jobs
+from ..params import setting
 from ..sim.results import SimulationResult
-from ..sim.runner import DEFAULT_REFS, DEFAULT_SCALE, sweep
+from ..sim.runner import DEFAULT_SCALE, sweep
 
 #: Table 3 order, used for every figure's rows
 BENCHES = (
@@ -42,7 +41,7 @@ SCALED_THRESHOLD_64 = 16
 
 def default_refs() -> int:
     """Trace length for experiments (env ``REPRO_BENCH_REFS`` or 400k)."""
-    return max(32, env_number("REPRO_BENCH_REFS", int, DEFAULT_REFS))
+    return max(32, setting("REPRO_BENCH_REFS"))
 
 
 def default_jobs() -> int:
@@ -52,7 +51,7 @@ def default_jobs() -> int:
     stay dependency-free; set ``REPRO_JOBS`` (or pass ``--jobs`` to the
     CLI) to fan matrices out over a process pool.
     """
-    return env_jobs() or 1
+    return max(1, setting("REPRO_JOBS") or 1)
 
 
 @dataclass
@@ -142,15 +141,15 @@ def run_matrix_timed(
     n = refs if refs is not None else default_refs()
     j = jobs if jobs is not None else default_jobs()
 
+    manifest_dir = setting("REPRO_MANIFEST_DIR")
+    runs_dir = setting("REPRO_RUN_DIR")
     matrix_id = None
-    if os.environ.get("REPRO_MANIFEST_DIR") or os.environ.get("REPRO_RUN_DIR"):
+    if manifest_dir or runs_dir:
         from ..obs.manifest import config_digest
 
         matrix_id = config_digest((tuple(systems), tuple(benches), n, seed,
                                    tuple(sorted(overrides.items(), key=repr))))
-    run_dir = None
-    if os.environ.get("REPRO_RUN_DIR"):
-        run_dir = os.path.join(os.environ["REPRO_RUN_DIR"], f"matrix-{matrix_id}")
+    run_dir = os.path.join(runs_dir, f"matrix-{matrix_id}") if runs_dir else None
 
     start = time.perf_counter()
     results = sweep(systems, benches, refs=n, seed=seed, jobs=j,
@@ -159,7 +158,7 @@ def run_matrix_timed(
 
     # Drop a run manifest when a destination is configured (no-op, and no
     # import cost, in the common interactive case).
-    if os.environ.get("REPRO_MANIFEST_DIR"):
+    if manifest_dir:
         from ..obs.manifest import maybe_write_sweep_manifest
 
         maybe_write_sweep_manifest(

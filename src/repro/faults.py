@@ -63,9 +63,7 @@ import time
 from typing import Dict, Optional, Tuple
 
 from .errors import ConfigurationError, InjectedFaultError
-
-#: environment variable carrying the fault schedule (inherited by workers)
-FAULTS_ENV = "REPRO_FAULTS"
+from .params import setting
 
 #: exit code used by injected worker kills (distinctive in ps/CI logs)
 KILL_EXIT_CODE = 86
@@ -302,7 +300,7 @@ def active_plan() -> Optional[FaultPlan]:
     variable, so parent and workers run the same schedule.
     """
     global _cached_env, _cached_plan
-    raw = os.environ.get(FAULTS_ENV) or None
+    raw = setting("REPRO_FAULTS")
     if raw != _cached_env:
         _cached_env = raw
         _cached_plan = FaultPlan.parse(raw) if raw else None

@@ -68,10 +68,8 @@ from .events import (
     TraceEvent,
 )
 from .manifest import (
-    MANIFEST_ENV,
     build_manifest,
     manifest_core,
-    manifest_dir_from_env,
     write_manifest,
 )
 from .metrics import (
@@ -98,14 +96,10 @@ from .spans import (
     spans_to_chrome,
 )
 from .profile import (
-    DEFAULT_WINDOW,
-    PROFILE_ENV,
-    PROFILE_WINDOW_ENV,
     STALL_COMPONENTS,
     StallProfiler,
     attributed_stall,
     profiled_cells,
-    profiling_enabled,
     stall_breakdown,
 )
 from .timeline import (
@@ -127,19 +121,13 @@ __all__ = [
     "aggregate_metrics",
     "merge_snapshots",
     "run_metrics",
-    "MANIFEST_ENV",
     "build_manifest",
     "manifest_core",
-    "manifest_dir_from_env",
     "write_manifest",
-    "DEFAULT_WINDOW",
-    "PROFILE_ENV",
-    "PROFILE_WINDOW_ENV",
     "STALL_COMPONENTS",
     "StallProfiler",
     "attributed_stall",
     "profiled_cells",
-    "profiling_enabled",
     "stall_breakdown",
     "export_chrome_trace",
     "trace_simulation",

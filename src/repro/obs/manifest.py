@@ -34,14 +34,12 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..durable import write_atomic
+from ..params import setting
 from ..trace.io import trace_cache_key
 from ..trace.record import TraceSpec
 from .metrics import aggregate_metrics
 
 MANIFEST_VERSION = 1
-
-#: environment variable: directory where sweeps write their manifests
-MANIFEST_ENV = "REPRO_MANIFEST_DIR"
 
 #: manifest fields that legitimately differ between identical runs
 #: ("recovery" records faults survived, which vary run to run by design;
@@ -62,14 +60,9 @@ VOLATILE_CELL_KEYS = ("elapsed_s", "refs_per_sec")
 ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def manifest_dir_from_env() -> Optional[Path]:
-    raw = os.environ.get(MANIFEST_ENV)
-    return Path(raw) if raw else None
-
-
 def git_sha() -> str:
     """The repository HEAD, best effort (``unknown`` outside a checkout)."""
-    env = os.environ.get("REPRO_GIT_SHA")
+    env = setting("REPRO_GIT_SHA")
     if env:
         return env
     try:
@@ -227,7 +220,7 @@ def maybe_write_sweep_manifest(
     cells were served from the content-addressed result store versus
     simulated, under the (equally volatile) ``cache`` key.
     """
-    dest = Path(directory) if directory is not None else manifest_dir_from_env()
+    dest = setting("REPRO_MANIFEST_DIR", directory)
     if dest is None:
         return None
     extra: Optional[Dict[str, object]] = None

@@ -24,37 +24,29 @@ it is still **off by default**: ``benchmarks/bench_core.py`` pins both the
 profiler-off and the profiler-on throughput floors.
 
 Alongside the totals, the profiler keeps **windowed interval time-series**:
-one sample per ``window`` references (default :data:`DEFAULT_WINDOW`,
-overridable via ``$REPRO_PROFILE_WINDOW``) of remote misses, NC/PC/peer
-hits, relocations, attributed read-stall cycles, and end-of-window NC
-occupancy — how the caches *evolve* over a trace, not just where they end.
+one sample per ``window`` references (default ``$REPRO_PROFILE_WINDOW``,
+else 10,000) of remote misses, NC/PC/peer hits, relocations, attributed
+read-stall cycles, and end-of-window NC occupancy — how the caches
+*evolve* over a trace, not just where they end.
 
 Everything lands in the run's standard metrics snapshot under
 per-(system, benchmark) keys (``profile.stall/<system>/<bench>/<component>``,
 ``hist.stall/...``, ``series.profile/...``), so parallel sweep workers ship
 it home unchanged and sweeps aggregate it bit-identically to a serial run.
 
-Enable per call (``simulate(..., profile=True)``), per process
-(``$REPRO_PROFILE=1`` — inherited by sweep workers, which is how
-``repro sweep --profile`` fans profiling out), or by constructing a
+Enable per call (``simulate(..., profile=True)``, ``sweep(...,
+profile=True)``, which ``repro sweep --profile`` uses), per process
+(``$REPRO_PROFILE=1``, inherited by sweep workers), or by constructing a
 :class:`StallProfiler` and passing it to ``run_trace``.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional
 
-from ..params import env_number
+from ..params import setting
 from .metrics import Histogram, Snapshot, merge_snapshots
-
-#: process-wide enable switch (inherited by sweep worker processes)
-PROFILE_ENV = "REPRO_PROFILE"
-#: references per timeline window (must agree across runs being merged)
-PROFILE_WINDOW_ENV = "REPRO_PROFILE_WINDOW"
-
-DEFAULT_WINDOW = 10_000
 
 #: Eq. 1 components, in the paper's presentation order
 STALL_COMPONENTS = (
@@ -82,20 +74,6 @@ TIMELINE_METRICS = (
 )
 
 
-def profiling_enabled() -> bool:
-    """Is process-wide profiling requested via ``$REPRO_PROFILE``?"""
-    raw = os.environ.get(PROFILE_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
-
-
-def profile_window() -> int:
-    """The timeline window size: ``$REPRO_PROFILE_WINDOW`` or the default."""
-    window = env_number(PROFILE_WINDOW_ENV, int, DEFAULT_WINDOW)
-    if window <= 0:
-        raise ValueError(f"{PROFILE_WINDOW_ENV} must be a positive integer")
-    return window
-
-
 class StallProfiler:
     """Attributes every monitored remote reference to its Eq. 1 component.
 
@@ -117,9 +95,8 @@ class StallProfiler:
         from ..sim.latency import nc_hit_latency, remote_miss_latency
 
         lat = config.latency
-        self.window = int(window) if window is not None else profile_window()
-        if self.window <= 0:
-            raise ValueError("profile window must be a positive integer")
+        #: references per timeline window (must agree across merged runs)
+        self.window = int(setting("REPRO_PROFILE_WINDOW", window))
         self.latencies: Dict[str, int] = {
             "cluster_hit": lat.cache_to_cache,
             "nc_hit": nc_hit_latency(config),

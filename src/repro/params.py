@@ -11,6 +11,10 @@ performance model of the paper:
 * the named remote-data-cache configurations of Sec. 5.1 are assembled in
   :mod:`repro.system.builder` from the dataclasses defined here.
 
+It also holds :data:`SETTINGS`, the table of every ``REPRO_*``
+environment variable the package reads, and :func:`setting`, their one
+reader.
+
 All sizes are in bytes unless a suffix says otherwise.
 """
 
@@ -19,26 +23,113 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Any, Dict, NamedTuple, Optional
 
 from .errors import ConfigurationError
 
 
-def env_number(
-    name: str, kind: type = int, default: Optional[Union[int, float]] = None
-) -> Optional[Union[int, float]]:
-    """``$name`` parsed as ``kind`` (``int`` or ``float``), or ``default``
-    when unset or blank.  A value that does not parse raises
+class Setting(NamedTuple):
+    """One ``REPRO_*`` environment variable: a row of :data:`SETTINGS`."""
+
+    kind: type  #: int, float, bool or str
+    default: Any  #: the value when unset or blank (None: not set)
+    floor: Optional[float]  #: lowest accepted value, inclusive (None: unbounded)
+    consumer: str
+    meaning: str
+    exclusive: bool = False  #: the floor itself is rejected too
+
+
+#: Every environment variable the package reads; docs/CLI.md's table is
+#: rendered from it and ``tests/test_settings.py`` keeps it complete.
+SETTINGS: Dict[str, Setting] = {
+    "REPRO_BENCH_REFS": Setting(
+        int, 400_000, None, "`repro experiment`, `repro report`, `benchmarks/`",
+        "references per trace of every figure run and perf-gate benchmark (below 32 means 32)"),
+    "REPRO_JOBS": Setting(
+        int, None, None, "`repro sweep`, `explore`, `experiment`, `report`",
+        "worker processes for sweeps (<= 0 means 1; unset: the CPU count for `sweep` and "
+        "`explore`, serial for figure runs)"),
+    "REPRO_RUN_DIR": Setting(
+        str, None, None, "`repro experiment`, `repro report`",
+        "figure runs journal each matrix under `<dir>/matrix-<id>` and resume from it"),
+    "REPRO_MAX_RETRIES": Setting(
+        int, 2, 0, "`repro.sim.parallel`", "per-cell retry budget for fault-tolerant sweeps"),
+    "REPRO_CELL_TIMEOUT": Setting(
+        float, None, 0, "`repro.sim.parallel`",
+        "per-cell wall-clock budget in seconds (unset: unlimited)", exclusive=True),
+    "REPRO_RETRY_BACKOFF": Setting(
+        float, 0.05, 0, "`repro.sim.parallel`", "base backoff in seconds between cell retries"),
+    "REPRO_FAULTS": Setting(
+        str, None, None, "`repro.faults`",
+        "fault-injection schedule for chaos testing (see docs/ROBUSTNESS.md)"),
+    "REPRO_TRACE_CACHE": Setting(
+        str, None, None, "`repro.trace.io`",
+        "on-disk trace cache directory (unset: `$XDG_CACHE_HOME/repro/traces`, else "
+        "`~/.cache/repro/traces`)"),
+    "REPRO_PROFILE": Setting(
+        bool, False, None, "`repro.obs.profile`",
+        "attach the stall profiler to every run (`0`, `false`, `no` and `off` do not)"),
+    "REPRO_PROFILE_WINDOW": Setting(
+        int, 10_000, 1, "`repro.obs.profile`", "references per profiler time-series window"),
+    "REPRO_MANIFEST_DIR": Setting(
+        str, None, None, "`repro.obs.manifest`",
+        "directory where every sweep drops its run manifest"),
+    "REPRO_GIT_SHA": Setting(
+        str, None, None, "`repro.obs.manifest`",
+        "git SHA recorded in manifests (unset: `git rev-parse HEAD`)"),
+    "REPRO_SERVICE_DIR": Setting(
+        str, None, None, "`repro serve`",
+        "service state directory: result store + job journals (unset: "
+        "`$XDG_CACHE_HOME/repro/service`, else `~/.cache/repro/service`)"),
+    "REPRO_STORE_MAX_BYTES": Setting(
+        int, 0, 0, "`repro serve`",
+        "result-store size budget; LRU-evicts above it (0 = unbounded)"),
+    "REPRO_MAX_QUEUED_JOBS": Setting(
+        int, 64, 0, "`repro serve`", "admission control: queued-job bound before 503s (0 = off)"),
+    "REPRO_MAX_INFLIGHT_CELLS": Setting(
+        int, 4096, 0, "`repro serve`", "admission control: queued+running cell bound (0 = off)"),
+    "REPRO_JOB_TTL": Setting(
+        float, None, 0, "`repro serve`",
+        "seconds before terminal jobs are garbage-collected (unset or 0: kept forever)"),
+    "REPRO_GC_INTERVAL": Setting(
+        float, 30.0, 0, "`repro serve`", "seconds between terminal-job GC sweeps (0: the default)"),
+    "REPRO_DRAIN_TIMEOUT": Setting(
+        float, 30.0, 0, "`repro serve`",
+        "graceful-drain budget in seconds on SIGTERM/SIGINT (0: the default; "
+        "`--drain-timeout 0` waits not at all)"),
+    "REPRO_REQUEST_TIMEOUT": Setting(
+        float, 10.0, None, "`repro serve`",
+        "per-request read/write timeout in seconds (<= 0: none)"),
+}
+
+
+def setting(name: str, given: Any = None) -> Any:
+    """The value of the ``REPRO_*`` variable ``name``: ``given`` (an
+    explicit argument or CLI flag) when set, else the parsed variable,
+    else the row's default.  An empty value counts as unset.
+
+    A value that does not parse, or lies below the row's floor, raises
     :class:`ConfigurationError` naming the variable (a CLI ``error:``
-    line, exit 2); range checks stay with each caller."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return kind(raw)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"{name} must be {noun}, got {raw!r}") from None
+    line, exit 2), wherever it came from.
+    """
+    row = SETTINGS[name]
+    value = given
+    if value is None or value == "":
+        raw = os.environ.get(name, "")
+        raw = raw if row.kind is str else raw.strip()
+        if not raw:
+            return row.default
+        if row.kind is bool:
+            return raw.lower() not in ("0", "false", "no", "off")
+        try:
+            value = row.kind(raw)
+        except ValueError:
+            noun = "an integer" if row.kind is int else "a number"
+            raise ConfigurationError(f"{name} must be {noun}, got {raw!r}") from None
+    if row.floor is not None and (value < row.floor or row.exclusive and value == row.floor):
+        op = ">" if row.exclusive else ">="
+        raise ConfigurationError(f"{name} must be {op} {row.floor:g}, got {value!r}")
+    return value
 
 
 # --------------------------------------------------------------------------

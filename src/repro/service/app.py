@@ -60,22 +60,13 @@ from ..errors import JobSpecError, ServiceUnavailableError
 from ..faults import active_plan
 from ..obs.registry import METRICS_CONTENT_TYPE
 from ..obs.spans import new_request_id, request_root_span_id
-from ..params import env_number
+from ..params import SETTINGS, setting
 from .jobs import Job, JobManager
 
 #: request bodies larger than this are rejected with 413 (a sweep spec is
 #: a few hundred bytes; anything bigger is a mistake or an attack)
 MAX_BODY_BYTES = 64 * 1024
 MAX_HEADER_BYTES = 16 * 1024
-
-#: seconds a client gets to deliver its full request (env-overridable);
-#: slow/stalled clients are answered 408 and disconnected
-REQUEST_TIMEOUT_ENV = "REPRO_REQUEST_TIMEOUT"
-DEFAULT_REQUEST_TIMEOUT = 10.0
-
-#: seconds between terminal-job TTL garbage-collection sweeps
-GC_INTERVAL_ENV = "REPRO_GC_INTERVAL"
-DEFAULT_GC_INTERVAL = 30.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -110,12 +101,13 @@ class ServiceApp:
         self, manager: JobManager, request_timeout: Optional[float] = None
     ) -> None:
         self.manager = manager
-        self.request_timeout = (
-            request_timeout if request_timeout is not None
-            else env_number(REQUEST_TIMEOUT_ENV, float, DEFAULT_REQUEST_TIMEOUT)
-        )
+        #: seconds a client gets to deliver its full request; slow/stalled
+        #: clients are answered 408 and disconnected
+        self.request_timeout = setting("REPRO_REQUEST_TIMEOUT", request_timeout)
+        #: seconds between terminal-job TTL garbage-collection sweeps (the
+        #: variable's 0 means the default)
         self.gc_interval_s = (
-            env_number(GC_INTERVAL_ENV, float, DEFAULT_GC_INTERVAL) or DEFAULT_GC_INTERVAL
+            setting("REPRO_GC_INTERVAL") or SETTINGS["REPRO_GC_INTERVAL"].default
         )
         manager.metrics.describe(
             "repro_http_requests_total",
@@ -587,6 +579,8 @@ async def serve(
     that safe.
     """
     stream = out if out is not None else sys.stdout
+    if drain_timeout is not None:  # a bad --drain-timeout fails now, not on SIGTERM
+        setting("REPRO_DRAIN_TIMEOUT", drain_timeout)
     app = ServiceApp(manager)
     resumed = manager.start()
     if resumed:

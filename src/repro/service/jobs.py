@@ -56,7 +56,7 @@ from ..obs.spans import (
     request_root_span_id,
     run_span_id,
 )
-from ..params import env_number
+from ..params import SETTINGS, setting
 from ..sim.parallel import RecoveryLog, cache_summary, run_parallel_sweep
 from ..sim.runner import DEFAULT_SCALE, resolve_sweep_configs
 from ..trace.synthetic import BENCHMARK_NAMES
@@ -69,14 +69,6 @@ MAX_REFS_PER_CELL = 10_000_000
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: states a job never leaves (and TTL garbage collection may reap)
 TERMINAL_STATES = ("done", "failed", "cancelled")
-
-#: admission-control defaults (env-overridable; 0 disables the bound)
-MAX_QUEUED_JOBS_ENV = "REPRO_MAX_QUEUED_JOBS"
-MAX_INFLIGHT_CELLS_ENV = "REPRO_MAX_INFLIGHT_CELLS"
-JOB_TTL_ENV = "REPRO_JOB_TTL"
-DRAIN_TIMEOUT_ENV = "REPRO_DRAIN_TIMEOUT"
-DEFAULT_MAX_QUEUED_JOBS = 64
-DEFAULT_MAX_INFLIGHT_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -256,23 +248,17 @@ class JobManager:
         self._lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._job_workers = max(1, int(job_workers))
-        # admission control: 0 disables a bound; env fills in None
-        self.max_queued_jobs = (
-            max_queued_jobs if max_queued_jobs is not None
-            else env_number(MAX_QUEUED_JOBS_ENV, int, DEFAULT_MAX_QUEUED_JOBS)
-        )
-        self.max_inflight_cells = (
-            max_inflight_cells if max_inflight_cells is not None
-            else env_number(MAX_INFLIGHT_CELLS_ENV, int, DEFAULT_MAX_INFLIGHT_CELLS)
-        )
+        # admission control: 0 disables a bound
+        self.max_queued_jobs = setting("REPRO_MAX_QUEUED_JOBS", max_queued_jobs)
+        self.max_inflight_cells = setting("REPRO_MAX_INFLIGHT_CELLS", max_inflight_cells)
         #: seconds a terminal job (and its directory) outlives completion;
         #: ``None``/0 keeps them forever
-        self.job_ttl_s = (
-            job_ttl_s if job_ttl_s is not None
-            else env_number(JOB_TTL_ENV, float)
+        self.job_ttl_s = setting("REPRO_JOB_TTL", job_ttl_s)
+        #: seconds :meth:`drain` waits for running jobs when not told (the
+        #: variable's 0 means the default)
+        self.drain_timeout_s = (
+            setting("REPRO_DRAIN_TIMEOUT") or SETTINGS["REPRO_DRAIN_TIMEOUT"].default
         )
-        #: seconds :meth:`drain` waits for running jobs when not told
-        self.drain_timeout_s = env_number(DRAIN_TIMEOUT_ENV, float, 30.0) or 30.0
         self.retry_after_s = float(retry_after_s)
         # rejected/expired are seeded from the persisted registry snapshot
         # and incremented in lockstep with it, which is what fixes the

@@ -31,9 +31,9 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from ..durable import cache_dir, quarantine, remove_files, write_atomic
+from ..durable import Note, cache_dir, ignore_note, quarantine, remove_files, write_atomic
 from ..faults import active_plan
-from ..params import SystemConfig, env_number
+from ..params import SystemConfig, setting
 from ..stats import Counters
 from ..trace.io import trace_cache_key
 from ..trace.record import TraceSpec
@@ -41,17 +41,11 @@ from ..sim.results import SimulationResult
 
 STORE_VERSION = 1
 
-#: environment variable: the service's data directory (store + job state)
-SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
-
-#: environment variable: size budget (bytes) for the store; 0/unset = unbounded
-STORE_MAX_BYTES_ENV = "REPRO_STORE_MAX_BYTES"
-
 
 def service_data_dir() -> Path:
     """The service's default data directory: ``$REPRO_SERVICE_DIR``, else
     the ``service`` :func:`repro.durable.cache_dir`."""
-    return cache_dir(SERVICE_DIR_ENV, "service")
+    return cache_dir(setting("REPRO_SERVICE_DIR"), "service")
 
 
 def result_key(
@@ -118,11 +112,8 @@ class ResultStore:
     ) -> None:
         self.root = Path(root) if root is not None else service_data_dir() / "store"
         #: size budget for eviction; ``None`` = unbounded.  Explicit
-        #: argument wins over ``$REPRO_STORE_MAX_BYTES`` (0/unset = unbounded).
-        if max_bytes is None:
-            budget = env_number(STORE_MAX_BYTES_ENV, int, 0)
-            max_bytes = budget if budget > 0 else None
-        self.max_bytes = max_bytes
+        #: argument wins over ``$REPRO_STORE_MAX_BYTES``; 0 = unbounded.
+        self.max_bytes: Optional[int] = setting("REPRO_STORE_MAX_BYTES", max_bytes) or None
         #: optional :class:`repro.obs.registry.WallClockRegistry`; every
         #: tally below is mirrored into ``repro_store_<field>_total`` so
         #: the counts survive restarts via the registry snapshot
@@ -157,6 +148,7 @@ class ResultStore:
         seed: int,
         scale: float,
         system: str = "",
+        note: Note = ignore_note,
     ) -> Optional[SimulationResult]:
         """The memoised result for one cell, or ``None`` on miss.
 
@@ -166,7 +158,8 @@ class ResultStore:
         config.  Any corruption — unreadable JSON, digest mismatch,
         version skew — quarantines the entry and reports a miss, so the
         caller transparently re-simulates; the store can never serve
-        wrong bytes, only fail to serve.
+        wrong bytes, only fail to serve.  The quarantine is reported to
+        ``note``.
         """
         from ..obs.manifest import config_digest, counters_digest
 
@@ -196,7 +189,7 @@ class ResultStore:
                     or int(body["req_seed"]) != int(seed)):
                 raise ValueError("identity fields disagree with the key")
         except (ValueError, KeyError, TypeError) as exc:
-            self._quarantine(path, exc)
+            self._quarantine(path, exc, note)
             self._note("misses")
             return None
         self._note("hits")
@@ -224,6 +217,7 @@ class ResultStore:
         scale: float,
         refs: Optional[int] = None,
         seed: Optional[int] = None,
+        note: Note = ignore_note,
     ) -> Optional[Path]:
         """Memoise one completed cell; returns the entry path.
 
@@ -239,6 +233,7 @@ class ResultStore:
         concurrent writers of the same key never observe a torn entry.
         I/O failure (full disk) returns ``None`` rather than raising: the
         store is an accelerator, never a single point of failure.
+        Degradation, recovery and evictions are reported to ``note``.
         """
         from ..obs.manifest import config_digest, counters_digest
 
@@ -271,31 +266,27 @@ class ResultStore:
                 plan.maybe_disk_full(f"store-put/{key}")
             write_atomic(path, json.dumps(body, sort_keys=True) + "\n")
         except OSError as exc:
-            self._enter_degraded(exc)
+            self._enter_degraded(exc, note)
             return None
         if plan is not None and plan.maybe_corrupt_store(
             path, f"store-entry/{key}"
         ):
-            from ..trace.io import note_recovery
-
-            note_recovery("fault_injected", f"corrupted store entry {key[:12]}")
+            note("fault_injected", detail=f"corrupted store entry {key[:12]}")
         self._note("puts")
-        self._leave_degraded()
-        self._maybe_evict(keep=path)
+        self._leave_degraded(note)
+        self._maybe_evict(path, note)
         return path
 
     # ---- degradation (full disk, read-only root) -------------------------
 
-    def _enter_degraded(self, exc: BaseException) -> None:
-        from ..trace.io import note_recovery
-
+    def _enter_degraded(self, exc: BaseException, note: Note) -> None:
         self._note("put_failures")
         with self._lock:
             first = not self.degraded
             self.degraded = True
             self.degraded_reason = str(exc)
         if first:
-            note_recovery("store_degraded", f"writes failing: {exc}")
+            note("store_degraded", detail=f"writes failing: {exc}")
             if self.metrics is not None:
                 try:
                     self.metrics.inc("repro_store_degradations_total")
@@ -303,15 +294,13 @@ class ResultStore:
                 except Exception:
                     pass
 
-    def _leave_degraded(self) -> None:
-        from ..trace.io import note_recovery
-
+    def _leave_degraded(self, note: Note) -> None:
         with self._lock:
             recovered = self.degraded
             self.degraded = False
             self.degraded_reason = None
         if recovered:
-            note_recovery("store_recovered", "result-store writes succeeding again")
+            note("store_recovered", detail="result-store writes succeeding again")
         if recovered and self.metrics is not None:
             try:
                 self.metrics.set_gauge("repro_store_degraded", 0)
@@ -332,7 +321,7 @@ class ResultStore:
                 pass  # lost a race with an evicting/quarantining peer
         return total
 
-    def _maybe_evict(self, keep: Optional[Path] = None) -> int:
+    def _maybe_evict(self, keep: Path, note: Note) -> int:
         """Evict least-recently-used entries until under ``max_bytes``.
 
         Concurrent-writer-safe: eviction is plain ``unlink`` of whole
@@ -342,8 +331,6 @@ class ResultStore:
         just-written entry (``keep``) is never evicted — the budget must
         not thrash the newest result.
         """
-        from ..trace.io import note_recovery
-
         if self.max_bytes is None or not self.root.is_dir():
             return 0
         entries = []
@@ -362,7 +349,7 @@ class ResultStore:
         for _mtime, size, entry in entries:
             if total <= self.max_bytes:
                 break
-            if keep is not None and entry == keep:
+            if entry == keep:
                 continue
             try:
                 entry.unlink()
@@ -372,27 +359,25 @@ class ResultStore:
             removed += 1
         if removed:
             self._note("evicted", removed)
-            note_recovery(
+            note(
                 "result_store_evicted",
-                f"{removed} LRU entr{'y' if removed == 1 else 'ies'} evicted "
+                detail=f"{removed} LRU entr{'y' if removed == 1 else 'ies'} evicted "
                 f"to stay under {self.max_bytes} bytes",
             )
         return removed
 
     # ---- maintenance -----------------------------------------------------
 
-    def _quarantine(self, path: Path, exc: BaseException) -> None:
-        from ..trace.io import note_recovery
-
+    def _quarantine(self, path: Path, exc: BaseException, note: Note) -> None:
         # an entry that can be neither renamed nor deleted stays and keeps
         # reporting misses: a broken store degrades to re-simulation
         if quarantine(path) is None:
             self._note("quarantine_failed")
-            note_recovery("result_quarantine_failed",
-                          f"{path.name}: could not quarantine or delete")
+            note("result_quarantine_failed",
+                 detail=f"{path.name}: could not quarantine or delete")
         else:
             self._note("quarantined")
-            note_recovery("result_quarantined", f"{path.name}: {exc}")
+            note("result_quarantined", detail=f"{path.name}: {exc}")
 
     def _note(self, field: str, amount: int = 1) -> None:
         with self._lock:

@@ -66,7 +66,7 @@ from typing import (
 )
 
 from .. import faults
-from ..durable import JsonlSink
+from ..durable import JsonlSink, Note
 from ..errors import (
     CellTimeoutError,
     CheckpointError,
@@ -74,8 +74,8 @@ from ..errors import (
     JobCancelledError,
     RetryExhaustedError,
 )
-from ..params import SystemConfig, env_number
-from ..trace import io as trace_io
+from ..obs.profile import StallProfiler
+from ..params import SETTINGS, SystemConfig, setting
 from .checkpoint import SweepJournal
 from .results import SimulationResult
 from .runner import DEFAULT_REFS, DEFAULT_SCALE, get_trace, run_trace
@@ -90,43 +90,26 @@ class SweepCell(NamedTuple):
     refs: int
     seed: int
     scale: float
-
-
-def env_jobs() -> Optional[int]:
-    """``$REPRO_JOBS`` as a worker count, or ``None`` when it is unset.
-
-    A value that is not an integer raises :class:`ConfigurationError`
-    naming the variable, which the CLI reports as an ``error:`` line.
-    """
-    jobs = env_number("REPRO_JOBS", int)
-    return None if jobs is None else max(1, jobs)
+    profile: bool = False  #: attach a StallProfiler to the run
 
 
 def default_jobs() -> int:
     """Worker count when the caller does not choose: env ``REPRO_JOBS`` or
     the machine's CPU count."""
-    return env_jobs() or os.cpu_count() or 1
+    jobs = setting("REPRO_JOBS")
+    return max(1, jobs) if jobs is not None else os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
 # retry / timeout policy
 # ---------------------------------------------------------------------------
 
-#: env knobs for the resilience policy (CLI flags override them)
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
-BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
-
-DEFAULT_MAX_RETRIES = 2
-DEFAULT_BACKOFF_S = 0.05
-
-
 class SweepPolicy(NamedTuple):
     """Per-cell fault handling knobs for one sweep."""
 
-    max_retries: int = DEFAULT_MAX_RETRIES  #: retry attempts after the first
+    max_retries: int = SETTINGS["REPRO_MAX_RETRIES"].default  #: retries after the first
     cell_timeout_s: Optional[float] = None  #: wall-clock budget per cell
-    backoff_s: float = DEFAULT_BACKOFF_S  #: base of the exponential backoff
+    backoff_s: float = SETTINGS["REPRO_RETRY_BACKOFF"].default  #: exponential backoff base
 
     def backoff_for(self, attempt: int) -> float:
         """Delay before retry ``attempt`` (exponential, capped at 30s)."""
@@ -139,19 +122,11 @@ def resolve_policy(
     backoff_s: Optional[float] = None,
 ) -> SweepPolicy:
     """Fold explicit knobs over the environment defaults, validating."""
-    if max_retries is None:
-        max_retries = env_number(MAX_RETRIES_ENV, int, DEFAULT_MAX_RETRIES)
-    if cell_timeout is None:
-        cell_timeout = env_number(CELL_TIMEOUT_ENV, float)
-    if backoff_s is None:
-        backoff_s = env_number(BACKOFF_ENV, float, DEFAULT_BACKOFF_S)
-    if max_retries < 0:
-        raise ConfigurationError("max_retries must be >= 0")
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise ConfigurationError("cell_timeout must be positive")
-    if backoff_s < 0:
-        raise ConfigurationError("retry backoff must be >= 0")
-    return SweepPolicy(max_retries, cell_timeout, backoff_s)
+    return SweepPolicy(
+        setting("REPRO_MAX_RETRIES", max_retries),
+        setting("REPRO_CELL_TIMEOUT", cell_timeout),
+        setting("REPRO_RETRY_BACKOFF", backoff_s),
+    )
 
 
 class RecoveryLog:
@@ -236,10 +211,11 @@ def plan_cells(
     refs: int = DEFAULT_REFS,
     seed: int = 1,
     scale: float = DEFAULT_SCALE,
+    profile: bool = False,
 ) -> List[SweepCell]:
     """The sweep's work list, benchmark-major (identical to serial order)."""
     return [
-        SweepCell(system, bench, config, refs, seed, scale)
+        SweepCell(system, bench, config, refs, seed, scale, profile)
         for bench in benchmarks
         for system, config in configs.items()
     ]
@@ -279,8 +255,11 @@ def chunk_cells(cells: Sequence[SweepCell], jobs: int) -> List[List[SweepCell]]:
 # ---------------------------------------------------------------------------
 
 
-def _attempt_cell(cell: SweepCell, disk_cache: bool, attempt: int) -> SimulationResult:
-    """One attempt at one cell, with the fault-injection sites armed."""
+def _attempt_cell(
+    cell: SweepCell, disk_cache: bool, attempt: int, note: Note
+) -> SimulationResult:
+    """One attempt at one cell, with the fault-injection sites armed;
+    trace-cache recovery actions go to ``note``."""
     plan = faults.active_plan()
     if plan is not None:
         context = faults.cell_context(cell.system, cell.benchmark, cell.seed)
@@ -293,8 +272,10 @@ def _attempt_cell(cell: SweepCell, disk_cache: bool, attempt: int) -> Simulation
         seed=cell.seed,
         scale=cell.scale,
         disk_cache=disk_cache,
+        note=note,
     )
-    return run_trace(cell.config, trace, system_name=cell.system)
+    profiler = StallProfiler(cell.config) if cell.profile else None
+    return run_trace(cell.config, trace, system_name=cell.system, profiler=profiler)
 
 
 #: failures that retrying cannot fix (configuration is validated eagerly,
@@ -321,7 +302,7 @@ def _run_cell_resilient(
     last: BaseException = RuntimeError("cell never attempted")
     for attempt in range(policy.max_retries + 1):
         try:
-            result = _attempt_cell(cell, disk_cache, attempt)
+            result = _attempt_cell(cell, disk_cache, attempt, recovery.note)
             if attempt:
                 recovery.note(
                     "cell_recovered", cell.system, cell.benchmark,
@@ -376,23 +357,17 @@ def _run_cells_serial(
     spans=None,
 ) -> Dict[Tuple[str, str], SimulationResult]:
     out: Dict[Tuple[str, str], SimulationResult] = {}
-    previous_hook = trace_io.set_recovery_hook(
-        lambda kind, detail: recovery.note(kind, detail=detail)
-    )
-    try:
-        for cell in cells:
-            if should_abort is not None and should_abort():
-                raise JobCancelledError(
-                    f"sweep aborted before cell {cell.system}/{cell.benchmark}"
-                )
-            t0 = time.time()
-            result = _run_cell_resilient(cell, policy, recovery, disk_cache)
-            _note_simulated(metrics, spans, cell, t0, time.time() - t0)
-            out[(cell.system, cell.benchmark)] = result
-            if journal is not None:
-                journal.append(result, cell.scale)
-    finally:
-        trace_io.set_recovery_hook(previous_hook)
+    for cell in cells:
+        if should_abort is not None and should_abort():
+            raise JobCancelledError(
+                f"sweep aborted before cell {cell.system}/{cell.benchmark}"
+            )
+        t0 = time.time()
+        result = _run_cell_resilient(cell, policy, recovery, disk_cache)
+        _note_simulated(metrics, spans, cell, t0, time.time() - t0)
+        out[(cell.system, cell.benchmark)] = result
+        if journal is not None:
+            journal.append(result, cell.scale)
     return out
 
 
@@ -413,9 +388,10 @@ def _service_worker(worker_id: int, task_q, result_q) -> None:
     ``idle``.  Trace-cache recovery actions are forwarded as ``note``s.
     """
     faults.mark_worker_process()
-    trace_io.set_recovery_hook(
-        lambda kind, detail: result_q.put(("note", worker_id, kind, detail))
-    )
+
+    def note(kind: str, detail: str = "") -> None:
+        result_q.put(("note", worker_id, kind, detail))
+
     while True:
         task = task_q.get()
         if task is None:
@@ -425,7 +401,7 @@ def _service_worker(worker_id: int, task_q, result_q) -> None:
             result_q.put(("start", worker_id, idx))
             try:
                 t0 = time.time()
-                result = _attempt_cell(cell, disk_cache=True, attempt=attempt)
+                result = _attempt_cell(cell, True, attempt, note)
                 # span payload travels BEFORE the result: the supervisor's
                 # message loop exits once every cell is accounted for, and
                 # queue order per worker guarantees the span is drained
@@ -568,7 +544,7 @@ def _execute_cells(
             )
             try:
                 t0 = time.time()
-                result = _attempt_cell(cell, disk_cache=True, attempt=used)
+                result = _attempt_cell(cell, True, used, recovery.note)
                 _note_simulated(metrics, spans, cell, t0, time.time() - t0)
                 record_ok(idx, result)
                 return
@@ -796,6 +772,7 @@ def run_parallel_sweep(
     metrics=None,
     spans=None,
     request_id: Optional[str] = None,
+    profile: bool = False,
 ) -> Dict[Tuple[str, str], SimulationResult]:
     """Fan a sweep matrix over ``jobs`` worker processes, fault-tolerantly.
 
@@ -812,7 +789,11 @@ def run_parallel_sweep(
     stored for the next request.  Cache hits are recorded in the
     recovery log (``cell_cache_hit``) so manifests and ``repro top`` can
     report hit rates; a store read that finds corruption quarantines the
-    entry and the cell transparently re-simulates.
+    entry and the cell transparently re-simulates.  Every recovery action
+    of the trace cache and the store lands in ``recovery``.
+
+    ``profile`` — attach a :class:`repro.obs.profile.StallProfiler` to
+    every simulated cell, in whichever process runs it.
 
     ``should_abort`` — an optional zero-argument callable polled between
     cells (and each supervisor tick).  When it turns true the sweep
@@ -832,7 +813,8 @@ def run_parallel_sweep(
     counters derived from the recovery log at the end (retries, timeouts,
     redispatches) assume a fresh ``recovery`` per call.
     """
-    cells = plan_cells(configs, benchmarks, refs=refs, seed=seed, scale=scale)
+    cells = plan_cells(configs, benchmarks, refs=refs, seed=seed, scale=scale,
+                       profile=profile)
     policy = resolve_policy(max_retries, cell_timeout)
     if recovery is None:
         recovery = RecoveryLog()
@@ -882,45 +864,37 @@ def run_parallel_sweep(
     # counter digest on load) and costs no engine time
     cached_keys = set()
     todo = []
-    for c in cells:
-        if should_abort is not None and should_abort():
-            if journal is not None:
-                journal.close()
-                recovery.close()
-            raise JobCancelledError("sweep aborted during result-store lookup")
-        key = (c.system, c.benchmark)
-        if key in done:
-            continue
-        if result_store is not None:
-            t_get = time.time()
-            hit = result_store.get(
-                c.config, c.benchmark, refs=c.refs, seed=c.seed,
-                scale=c.scale, system=c.system,
-            )
-            if hit is not None:
-                done[key] = hit
-                cached_keys.add(key)
-                recovery.note("cell_cache_hit", c.system, c.benchmark,
-                              "served from the result store")
-                if metrics is not None:
-                    metrics.inc(
-                        "repro_sweep_cells_total", labels={"outcome": "cached"}
-                    )
-                if spans is not None:
-                    spans.add(
-                        "cell cache-hit", t_get, time.time() - t_get,
-                        system=c.system, benchmark=c.benchmark,
-                    )
-                if journal is not None:
-                    journal.append(hit, c.scale, source="cache")
-                continue
-        todo.append(c)
-    # surface parent-side trace-cache recovery (quarantines during the
-    # pre-seed phase, skipped writes) alongside the workers' notes
-    previous_hook = trace_io.set_recovery_hook(
-        lambda kind, detail: recovery.note(kind, detail=detail)
-    )
     try:
+        for c in cells:
+            if should_abort is not None and should_abort():
+                raise JobCancelledError("sweep aborted during result-store lookup")
+            key = (c.system, c.benchmark)
+            if key in done:
+                continue
+            if result_store is not None:
+                t_get = time.time()
+                hit = result_store.get(
+                    c.config, c.benchmark, refs=c.refs, seed=c.seed,
+                    scale=c.scale, system=c.system, note=recovery.note,
+                )
+                if hit is not None:
+                    done[key] = hit
+                    cached_keys.add(key)
+                    recovery.note("cell_cache_hit", c.system, c.benchmark,
+                                  "served from the result store")
+                    if metrics is not None:
+                        metrics.inc(
+                            "repro_sweep_cells_total", labels={"outcome": "cached"}
+                        )
+                    if spans is not None:
+                        spans.add(
+                            "cell cache-hit", t_get, time.time() - t_get,
+                            system=c.system, benchmark=c.benchmark,
+                        )
+                    if journal is not None:
+                        journal.append(hit, c.scale, source="cache")
+                    continue
+            todo.append(c)
         if todo:
             if jobs <= 1 or len(todo) <= 1:
                 fresh = _run_cells_serial(
@@ -934,7 +908,7 @@ def run_parallel_sweep(
                 for bench in {c.benchmark for c in todo}:
                     try:
                         get_trace(bench, refs=refs, seed=seed, scale=scale,
-                                  disk_cache=True)
+                                  disk_cache=True, note=recovery.note)
                     except OSError:
                         pass  # workers fall back to generating it themselves
                 fresh = _execute_cells(
@@ -942,8 +916,31 @@ def run_parallel_sweep(
                     should_abort=should_abort, metrics=metrics, spans=spans,
                 )
             done.update(fresh)
+
+        if result_store is not None:
+            # memoise everything this sweep actually produced (fresh cells and
+            # journal-restored ones alike) for the next identical request; a
+            # failed write degrades to "not cached", never to a failed sweep
+            stored = 0
+            t_put = time.time()
+            for cell in cells:
+                key = (cell.system, cell.benchmark)
+                if key in cached_keys:
+                    continue
+                if result_store.put(
+                    done[key], cell.scale, refs=cell.refs, seed=cell.seed,
+                    note=recovery.note,
+                ) is not None:
+                    stored += 1
+            if spans is not None:
+                spans.add("store-put", t_put, time.time() - t_put, stored=stored)
+            if stored < len(cells) - len(cached_keys):
+                recovery.note(
+                    "result_store_skipped",
+                    detail=f"{len(cells) - len(cached_keys) - stored} "
+                           f"cell(s) could not be written to the result store",
+                )
     finally:
-        trace_io.set_recovery_hook(previous_hook)
         if metrics is not None:
             # recovery-action counters, derived once per sweep (valid
             # because the service hands each run a fresh RecoveryLog)
@@ -955,40 +952,10 @@ def run_parallel_sweep(
                 count = recovery.counts.get(note_kind, 0)
                 if count:
                     metrics.inc(metric, count)
+        # closed last, so the store phase's notes reach recovery.jsonl too
         if journal is not None:
             journal.close()
             recovery.close()
-
-    if result_store is not None:
-        # memoise everything this sweep actually produced (fresh cells and
-        # journal-restored ones alike) for the next identical request; a
-        # failed write degrades to "not cached", never to a failed sweep.
-        # The recovery hook is re-attached so store degradation events
-        # (store_degraded / store_recovered / evictions) are logged too.
-        stored = 0
-        t_put = time.time()
-        previous_hook = trace_io.set_recovery_hook(
-            lambda kind, detail: recovery.note(kind, detail=detail)
-        )
-        try:
-            for cell in cells:
-                key = (cell.system, cell.benchmark)
-                if key in cached_keys:
-                    continue
-                if result_store.put(
-                    done[key], cell.scale, refs=cell.refs, seed=cell.seed
-                ) is not None:
-                    stored += 1
-        finally:
-            trace_io.set_recovery_hook(previous_hook)
-            if spans is not None:
-                spans.add("store-put", t_put, time.time() - t_put, stored=stored)
-        if stored < len(cells) - len(cached_keys):
-            recovery.note(
-                "result_store_skipped",
-                detail=f"{len(cells) - len(cached_keys) - stored} "
-                       f"cell(s) could not be written to the result store",
-            )
 
     # deterministic merge: plan order, exactly the serial dict order
     return {(cell.system, cell.benchmark): done[(cell.system, cell.benchmark)]

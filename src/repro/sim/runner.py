@@ -17,10 +17,11 @@ import time
 from collections import OrderedDict
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
+from ..durable import Note, ignore_note
 from ..errors import ConfigurationError
 from ..obs.metrics import merge_snapshots, run_metrics
-from ..obs.profile import StallProfiler, profiling_enabled
-from ..params import SystemConfig
+from ..obs.profile import StallProfiler
+from ..params import SystemConfig, setting
 from ..system.builder import build_machine, system_config
 from ..trace.record import Trace, TraceSpec
 from ..trace.synthetic import generate_trace
@@ -45,12 +46,14 @@ def get_trace(
     scale: float = DEFAULT_SCALE,
     n_procs: int = 32,
     disk_cache: bool = False,
+    note: Note = ignore_note,
 ) -> Trace:
     """Generate (or fetch from cache) one benchmark trace.
 
     With ``disk_cache=True`` the content-addressed on-disk cache is
     consulted before generating, and a freshly generated trace is stored
     there — the mechanism parallel sweep workers use to share traces.
+    The disk cache's recovery actions are reported to ``note``.
     """
     key = (benchmark.lower(), refs, seed, scale, n_procs)
     trace = _trace_cache.get(key)
@@ -65,17 +68,15 @@ def get_trace(
         if disk_cache:
             from ..trace import io as trace_io
 
-            trace = trace_io.load_cached_trace(spec)
+            trace = trace_io.load_cached_trace(spec, note)
             if trace is None:
                 trace = generate_trace(spec)
                 try:
-                    trace_io.store_cached_trace(spec, trace)
+                    trace_io.store_cached_trace(spec, trace, note)
                 except OSError as exc:
                     # a full disk (or an injected I/O fault) must not sink
                     # the run: continue with the in-memory trace, uncached
-                    trace_io.note_recovery(
-                        "trace_cache_skipped", f"{benchmark}: {exc}"
-                    )
+                    note("trace_cache_skipped", detail=f"{benchmark}: {exc}")
         else:
             trace = generate_trace(spec)
         _trace_cache[key] = trace
@@ -103,12 +104,12 @@ def run_trace(
     enables structured event emission for this run (see ``repro.obs``).
     ``profiler`` — an optional :class:`repro.obs.profile.StallProfiler` —
     enables per-reference stall attribution; with ``$REPRO_PROFILE`` set
-    (how sweep worker processes inherit ``--profile``) one is constructed
-    automatically.  A profiled run's snapshot carries the attribution
-    under ``profile.*``/``hist.stall/*``/``series.profile/*`` keys.
+    one is constructed automatically.  A profiled run's snapshot carries
+    the attribution under ``profile.*``/``hist.stall/*``/``series.profile/*``
+    keys.
     Every result carries a deterministic metrics snapshot either way.
     """
-    if profiler is None and profiling_enabled():
+    if profiler is None and setting("REPRO_PROFILE"):
         profiler = StallProfiler(config)
     machine = build_machine(config, dataset_bytes=trace.dataset_bytes)
     sim = Simulator(machine, tracer=tracer, profiler=profiler)
@@ -229,6 +230,7 @@ def sweep(
     cell_timeout: Optional[float] = None,
     recovery=None,
     result_store=None,
+    profile: bool = False,
     **shared_overrides: object,
 ) -> Dict[Tuple[str, str], SimulationResult]:
     """Run a systems x benchmarks matrix; keys are ``(system, benchmark)``.
@@ -247,7 +249,8 @@ def sweep(
     every recovery action the sweep took.  ``result_store`` — a
     :class:`repro.service.store.ResultStore` — memoises completed cells
     by content key, so repeating a sweep serves them without simulating
-    (see ``docs/SERVICE.md``).
+    (see ``docs/SERVICE.md``).  ``profile=True`` attaches a
+    :class:`repro.obs.profile.StallProfiler` to every simulated cell.
     """
     systems = list(systems)
     benchmarks = list(benchmarks)
@@ -259,5 +262,5 @@ def sweep(
     return run_parallel_sweep(
         configs, benchmarks, refs=refs, seed=seed, scale=scale, jobs=jobs,
         run_dir=run_dir, max_retries=max_retries, cell_timeout=cell_timeout,
-        recovery=recovery, result_store=result_store,
+        recovery=recovery, result_store=result_store, profile=profile,
     )

@@ -27,12 +27,13 @@ import io
 import json
 import zipfile
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from ..durable import cache_dir, quarantine, remove_files, write_atomic
+from ..durable import Note, cache_dir, ignore_note, quarantine, remove_files, write_atomic
 from ..errors import CorruptTraceError, TraceError
+from ..params import setting
 from .record import Trace, TraceSpec
 
 #: bumped to 2 when the payload digest field was added
@@ -127,37 +128,11 @@ def load_trace(path: Union[str, Path]) -> Trace:
 # content-addressed disk cache
 # ---------------------------------------------------------------------------
 
-#: environment variable overriding the cache directory
-CACHE_ENV = "REPRO_TRACE_CACHE"
-
-# recovery hook: the sweep executor installs one so cache-level recovery
-# actions (quarantines, skipped writes) surface as obs events / metrics
-_recovery_hook: Optional[Callable[[str, str], None]] = None
-
-
-def set_recovery_hook(
-    hook: Optional[Callable[[str, str], None]],
-) -> Optional[Callable[[str, str], None]]:
-    """Install ``hook(kind, detail)`` for cache recovery actions.
-
-    Returns the previous hook so callers can restore it.  Kinds emitted:
-    ``trace_quarantined`` and ``trace_cache_skipped``.
-    """
-    global _recovery_hook
-    previous = _recovery_hook
-    _recovery_hook = hook
-    return previous
-
-
-def note_recovery(kind: str, detail: str) -> None:
-    if _recovery_hook is not None:
-        _recovery_hook(kind, detail)
-
 
 def trace_cache_dir() -> Path:
     """Directory holding cached traces (not created until first store):
     ``$REPRO_TRACE_CACHE``, else the ``traces`` :func:`repro.durable.cache_dir`."""
-    return cache_dir(CACHE_ENV, "traces")
+    return cache_dir(setting("REPRO_TRACE_CACHE"), "traces")
 
 
 def trace_cache_key(spec: TraceSpec) -> str:
@@ -178,14 +153,14 @@ def trace_cache_path(spec: TraceSpec) -> Path:
     return trace_cache_dir() / f"{spec.benchmark.lower()}-{trace_cache_key(spec)}.npz"
 
 
-def load_cached_trace(spec: TraceSpec) -> Optional[Trace]:
+def load_cached_trace(spec: TraceSpec, note: Note = ignore_note) -> Optional[Trace]:
     """The cached trace for ``spec``, or None on miss/corruption.
 
     A corrupt or version-skewed entry is **quarantined** (renamed
     ``*.corrupt``) rather than raised: the caller can always regenerate,
     so the cache must never brick a sweep — but the bad bytes are kept
     around so the corruption can be diagnosed.  Every quarantine is
-    reported through the recovery hook.
+    reported to ``note`` as ``trace_quarantined``.
     """
     path = trace_cache_path(spec)
     if not path.exists():
@@ -194,15 +169,16 @@ def load_cached_trace(spec: TraceSpec) -> Optional[Trace]:
         return load_trace(path)
     except (TraceError, OSError, ValueError) as exc:
         if quarantine(path) == "renamed":
-            note_recovery("trace_quarantined", f"{path.name}: {exc}")
+            note("trace_quarantined", detail=f"{path.name}: {exc}")
         return None
 
 
-def store_cached_trace(spec: TraceSpec, trace: Trace) -> Path:
+def store_cached_trace(spec: TraceSpec, trace: Trace, note: Note = ignore_note) -> Path:
     """Persist ``trace`` under its content key; returns the cache path.
 
     The write is atomic (:func:`save_trace`), so concurrent workers racing
-    to store the same trace cannot leave a torn file behind.
+    to store the same trace cannot leave a torn file behind.  An injected
+    corruption is reported to ``note`` as ``fault_injected``.
     """
     from .. import faults
 
@@ -214,7 +190,7 @@ def store_cached_trace(spec: TraceSpec, trace: Trace) -> Path:
     if plan is not None and plan.maybe_corrupt_file(
         path, f"corrupt:{trace_cache_key(spec)}"
     ):
-        note_recovery("fault_injected", f"corrupted cache entry {path.name}")
+        note("fault_injected", detail=f"corrupted cache entry {path.name}")
     return path
 
 

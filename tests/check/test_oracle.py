@@ -77,18 +77,16 @@ def test_parallel_diff_now_covers_profiles_and_conservation(monkeypatch):
     caller's REPRO_PROFILE setting must be restored afterwards."""
     import os
 
-    from repro.obs.profile import PROFILE_ENV
-
-    monkeypatch.delenv(PROFILE_ENV, raising=False)
+    monkeypatch.delenv("REPRO_PROFILE", raising=False)
     n = diff_parallel_sweep(
         ["vb", "vpp5"], ["radix"], refs=REFS, seed=1, scale=SCALE, jobs=2
     )
     assert n == 2
-    assert PROFILE_ENV not in os.environ
+    assert "REPRO_PROFILE" not in os.environ
 
-    monkeypatch.setenv(PROFILE_ENV, "0")
+    monkeypatch.setenv("REPRO_PROFILE", "0")
     diff_parallel_sweep(["base"], ["fft"], refs=REFS, seed=1, scale=SCALE)
-    assert os.environ[PROFILE_ENV] == "0"
+    assert os.environ["REPRO_PROFILE"] == "0"
 
 
 def test_parallel_diff_catches_broken_attribution(monkeypatch):

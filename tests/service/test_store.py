@@ -365,6 +365,34 @@ class TestSweepIntegration:
         snap = progress.snapshot()
         assert snap["cached_cells"] == 1 and snap["simulated_cells"] == 0
 
+    def test_sweep_logs_its_own_store_quarantine(self, store):
+        # the store lookups run before any cell: their quarantine must
+        # still land in the sweep's own recovery log
+        from repro.sim.parallel import RecoveryLog
+
+        sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+              result_store=store)
+        next(store.root.glob("*/*.json")).write_text("{torn", encoding="utf-8")
+        recovery = RecoveryLog()
+        sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+              result_store=store, recovery=recovery)
+        assert store.quarantined == 1
+        assert recovery.counts.get("result_quarantined") == 1
+
+    def test_journalled_sweep_streams_store_failures(self, store, monkeypatch,
+                                                      tmp_path):
+        # the store-put phase's notes reach recovery.jsonl, which is what
+        # /jobs/<id> progress, /top and `repro top` read
+        from repro.obs.monitor import SweepProgress
+
+        monkeypatch.setenv("REPRO_FAULTS", "seed=1;disk-full=1.0")
+        run_dir = tmp_path / "run"
+        sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+              result_store=store, run_dir=str(run_dir))
+        counts = SweepProgress(run_dir).recovery_counts
+        assert counts.get("store_degraded") == 1
+        assert counts.get("result_store_skipped") == 1
+
     def test_manifest_core_unchanged_by_cache(self, store, monkeypatch,
                                               tmp_path):
         # all-miss and all-hit runs must agree on the core manifest

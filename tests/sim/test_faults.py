@@ -220,13 +220,9 @@ class TestTraceIntegrity:
         path.write_bytes(bytes(data))
 
         notes = []
-        previous = trace_io.set_recovery_hook(
-            lambda kind, detail: notes.append(kind)
-        )
-        try:
-            assert trace_io.load_cached_trace(spec) is None
-        finally:
-            trace_io.set_recovery_hook(previous)
+        assert trace_io.load_cached_trace(
+            spec, note=lambda kind, detail: notes.append(kind)
+        ) is None
 
         assert not path.exists()
         assert durable.quarantine_path(path).exists()

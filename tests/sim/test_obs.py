@@ -20,7 +20,6 @@ import pytest
 
 from repro.obs.events import EVENT_KINDS, EventTracer
 from repro.obs.manifest import (
-    MANIFEST_ENV,
     build_manifest,
     config_digest,
     manifest_core,
@@ -389,11 +388,11 @@ class TestManifests:
 
     def test_maybe_write_honours_env(self, tmp_path, monkeypatch):
         results, wall = self._sweep()
-        monkeypatch.delenv(MANIFEST_ENV, raising=False)
+        monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
         assert maybe_write_sweep_manifest(
             results, command="t", refs=REFS, seed=1, scale=0.125,
             jobs=1, wall_s=wall) is None
-        monkeypatch.setenv(MANIFEST_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
         path = maybe_write_sweep_manifest(
             results, command="t", refs=REFS, seed=1, scale=0.125,
             jobs=1, wall_s=wall)

@@ -93,7 +93,7 @@ class TestParallelEquivalence:
 
 class TestDiskTraceCache:
     def test_round_trip_identical_counters(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(trace_io.CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         spec = TraceSpec(benchmark="lu", refs=REFS, seed=1, scale=0.125)
         fresh = generate_trace(spec)
         trace_io.store_cached_trace(spec, fresh)
@@ -105,7 +105,7 @@ class TestDiskTraceCache:
         assert a.counters == b.counters
 
     def test_get_trace_populates_and_reuses_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(trace_io.CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         clear_trace_cache()
         get_trace("lu", refs=REFS, disk_cache=True)
         files = list(tmp_path.glob("*.npz"))
@@ -122,14 +122,14 @@ class TestDiskTraceCache:
         assert len({a, b, c}) == 3
 
     def test_clear_disk_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(trace_io.CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         spec = TraceSpec(benchmark="lu", refs=REFS)
         trace_io.store_cached_trace(spec, generate_trace(spec))
         assert trace_io.clear_disk_trace_cache() == 1
         assert trace_io.load_cached_trace(spec) is None
 
     def test_corrupt_entry_regenerates(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(trace_io.CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         spec = TraceSpec(benchmark="lu", refs=REFS)
         path = trace_io.trace_cache_path(spec)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -14,13 +14,12 @@ The two load-bearing guarantees pinned here:
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.obs.profile import (
-    DEFAULT_WINDOW,
-    PROFILE_ENV,
-    PROFILE_WINDOW_ENV,
     STALL_COMPONENTS,
     StallProfiler,
     attributed_stall,
@@ -33,6 +32,7 @@ from repro.obs.timeline import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.params import SETTINGS
 from repro.sim.latency import remote_read_stall, stall_components
 from repro.sim.parallel import sweep_metrics
 from repro.sim.runner import clear_trace_cache, simulate, sweep
@@ -84,22 +84,22 @@ class TestTransparency:
         assert plain.counters == profiled.counters
 
     def test_profile_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
         r = simulate("vb", "radix", refs=REFS)
         assert profiled_cells(r.metrics) == []
 
     def test_env_enables_profiling(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "1")
+        monkeypatch.setenv("REPRO_PROFILE", "1")
         r = simulate("vb", "radix", refs=REFS)
         assert profiled_cells(r.metrics) == ["vb/radix"]
-        monkeypatch.setenv(PROFILE_ENV, "off")
+        monkeypatch.setenv("REPRO_PROFILE", "off")
         r2 = simulate("vb", "radix", refs=REFS)
         assert profiled_cells(r2.metrics) == []
 
 
 class TestSweepDeterminism:
     def test_serial_and_parallel_profiles_bit_identical(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "1")
+        monkeypatch.setenv("REPRO_PROFILE", "1")
         systems, benches = ["base", "vb"], ["lu", "radix"]
         serial = sweep(systems, benches, refs=REFS, jobs=1)
         clear_trace_cache()
@@ -113,8 +113,16 @@ class TestSweepDeterminism:
             f"{s}/{b}" for s in systems for b in benches
         )
 
+    def test_profile_flag_reaches_every_worker(self, monkeypatch):
+        # the flag travels with each cell: no process-wide switch is set
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        results = sweep(["vb", "vpp5"], ["radix"], refs=REFS, jobs=2, profile=True)
+        for (system, bench), r in results.items():
+            assert profiled_cells(r.metrics) == [f"{system}/{bench}"]
+        assert "REPRO_PROFILE" not in os.environ
+
     def test_aggregate_conserves_per_cell(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "1")
+        monkeypatch.setenv("REPRO_PROFILE", "1")
         results = sweep(["vb", "vpp5"], ["radix"], refs=REFS)
         agg = sweep_metrics(results)
         for (system, bench), r in results.items():
@@ -131,8 +139,10 @@ class TestTimelineSeries:
         r = simulate("vb", "radix", refs=REFS, profile=True)
         refs = r.refs
         series = r.metrics["series"]["series.profile/vb/radix/remote_misses"]
-        assert series["window"] == DEFAULT_WINDOW
-        assert len(series["values"]) == math.ceil(refs / DEFAULT_WINDOW)
+        assert series["window"] == SETTINGS["REPRO_PROFILE_WINDOW"].default
+        assert len(series["values"]) == math.ceil(
+            refs / SETTINGS["REPRO_PROFILE_WINDOW"].default
+        )
         assert profiler.window == window  # explicit window overrides env
 
     def test_series_totals_match_counters(self):
@@ -152,11 +162,11 @@ class TestTimelineSeries:
         )
 
     def test_window_env_is_honoured(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_WINDOW_ENV, "500")
+        monkeypatch.setenv("REPRO_PROFILE_WINDOW", "500")
         profiler = StallProfiler(system_config("base"))
         assert profiler.window == 500
-        monkeypatch.setenv(PROFILE_WINDOW_ENV, "0")
-        with pytest.raises(ValueError, match="positive"):
+        monkeypatch.setenv("REPRO_PROFILE_WINDOW", "0")
+        with pytest.raises(ConfigurationError, match="REPRO_PROFILE_WINDOW"):
             StallProfiler(system_config("base"))
 
     def test_snapshot_before_finish_is_an_error(self):
