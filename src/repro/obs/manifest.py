@@ -22,6 +22,7 @@ one next to its report.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -61,10 +62,16 @@ ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def git_sha() -> str:
-    """The repository HEAD, best effort (``unknown`` outside a checkout)."""
-    env = setting("REPRO_GIT_SHA")
-    if env:
-        return env
+    """The repository HEAD, best effort (``unknown`` outside a checkout).
+
+    ``REPRO_GIT_SHA`` wins on every call; otherwise ``git rev-parse`` runs
+    once per process.
+    """
+    return setting("REPRO_GIT_SHA") or _head_sha()
+
+
+@functools.lru_cache(maxsize=None)
+def _head_sha() -> str:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

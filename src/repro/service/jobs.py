@@ -23,7 +23,10 @@ thread pool (``job_workers``), each job runs through
 :func:`repro.sim.parallel.run_parallel_sweep` with the shared
 :class:`~repro.service.store.ResultStore` consulted per cell, and the
 asyncio HTTP layer (:mod:`repro.service.app`) only ever calls fast,
-lock-guarded accessors.
+lock-guarded accessors.  Each job thread keeps a spawned
+:class:`~repro.sim.parallel.WorkerPool` between jobs, so the cells it
+simulates run off the server's GIL; :meth:`JobManager.close` and
+:meth:`JobManager.drain` stop every one of them.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from ..obs.spans import (
     run_span_id,
 )
 from ..params import SETTINGS, setting
-from ..sim.parallel import RecoveryLog, cache_summary, run_parallel_sweep
+from ..sim.parallel import RecoveryLog, WorkerPool, cache_summary, run_parallel_sweep
 from ..sim.runner import DEFAULT_SCALE, resolve_sweep_configs
 from ..trace.synthetic import BENCHMARK_NAMES
 from .store import ResultStore
@@ -271,6 +274,9 @@ class JobManager:
         self._aborts: Dict[str, threading.Event] = {}
         #: jobs whose abort came from an explicit cancel (vs a drain)
         self._cancel_requested: set = set()
+        #: each job thread's kept worker pool (created on its first job)
+        self._pools: Dict[int, WorkerPool] = {}
+        self._pools_closed = False
 
     # ---- lifecycle -------------------------------------------------------
 
@@ -301,10 +307,30 @@ class JobManager:
         return resumed
 
     def close(self, wait: bool = True) -> None:
+        """Stop the job threads (waiting for running jobs with ``wait``)
+        and every worker process; no worker is alive once this returns."""
         if self._executor is not None:
             self._executor.shutdown(wait=wait)
             self._executor = None
+        self._close_pools()
         self._save_metrics()
+
+    def _job_pool(self) -> WorkerPool:
+        """The calling job thread's kept worker pool."""
+        with self._lock:
+            pool = self._pools.get(threading.get_ident())
+            if pool is None:
+                pool = self._pools[threading.get_ident()] = WorkerPool(kept=True)
+                if self._pools_closed:
+                    pool.close()  # a thread still unwinding after close()
+        return pool
+
+    def _close_pools(self) -> None:
+        with self._lock:
+            self._pools_closed = True
+            pools = list(self._pools.values())
+        for pool in pools:
+            pool.close()
 
     # ---- graceful drain --------------------------------------------------
 
@@ -330,9 +356,10 @@ class JobManager:
         persisted queue order (:meth:`start` re-enqueues them in
         ``created_unix`` order) — then give running jobs ``timeout``
         seconds to finish naturally.  Jobs still running after that are
-        aborted at their next cell boundary (every completed cell is
-        already in the journal) and parked back to ``queued``, so a
-        restarted server resumes them bit-identically.
+        aborted — their in-flight cell is dropped, every completed cell is
+        already in the journal — and parked back to ``queued``, so a
+        restarted server resumes them bit-identically.  Every job
+        thread's worker pool is closed before this returns.
         """
         self.begin_drain()
         if timeout is None:
@@ -353,9 +380,10 @@ class JobManager:
                     aborted.append(job_id)
                     event.set()
         if executor is not None:
-            # join worker threads: aborted jobs park at the next cell
-            # boundary, so this wait is bounded by one cell's runtime
+            # join job threads: an aborted sweep drops its in-flight cell
+            # (the journal holds every completed one), so this is quick
             executor.shutdown(wait=True)
+        self._close_pools()
         summary = {
             "queued": self._count_state("queued"),
             "finished": self._count_state("done") + self._count_state("failed"),
@@ -367,7 +395,7 @@ class JobManager:
     def abort_running(self) -> int:
         """Set every job's abort signal (forced exit); returns the count.
 
-        Running sweeps park at their next cell boundary; the journal
+        Running sweeps park, dropping their in-flight cell; the journal
         already holds every completed cell, so nothing is lost.
         """
         with self._lock:
@@ -512,9 +540,10 @@ class JobManager:
         """Request cancellation; returns the job or ``None`` if unknown.
 
         Queued jobs flip straight to ``cancelled``.  Running jobs get
-        their abort event set and stop at the next cell boundary (the
-        state transition happens in the worker thread); terminal jobs
-        are returned unchanged, making cancellation idempotent.
+        their abort event set and stop within a supervisor tick, dropping
+        their in-flight cell (the state transition happens in the job
+        thread); terminal jobs are returned unchanged, making
+        cancellation idempotent.
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -625,6 +654,7 @@ class JobManager:
                 metrics=self.metrics,
                 spans=spans,
                 request_id=job.request_id,
+                pool=self._job_pool(),
             )
         except JobCancelledError:
             if job_id in self._cancel_requested:

@@ -55,6 +55,7 @@ def result_key(
     seed: int,
     scale: float,
     n_procs: int = 32,
+    profile: bool = False,
 ) -> str:
     """Stable content key for one simulation cell.
 
@@ -62,6 +63,9 @@ def result_key(
     latency knob) with the trace-cache key (covers everything that shapes
     the reference stream, including the trace format version), plus the
     store's own version so a schema change can never misread old entries.
+    A profiled cell's metrics carry ``profile.*`` keys an unprofiled
+    one's lack, so ``profile`` joins the key — only when set, which keeps
+    every unprofiled key (and store on disk) as it was.
     """
     from ..obs.manifest import config_digest
 
@@ -73,6 +77,8 @@ def result_key(
         f"store-v{STORE_VERSION}|config={config_digest(config)}"
         f"|trace={trace_cache_key(spec)}"
     )
+    if profile:
+        canon += "|profile"
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:40]
 
 
@@ -149,6 +155,7 @@ class ResultStore:
         scale: float,
         system: str = "",
         note: Note = ignore_note,
+        profile: bool = False,
     ) -> Optional[SimulationResult]:
         """The memoised result for one cell, or ``None`` on miss.
 
@@ -159,11 +166,11 @@ class ResultStore:
         version skew — quarantines the entry and reports a miss, so the
         caller transparently re-simulates; the store can never serve
         wrong bytes, only fail to serve.  The quarantine is reported to
-        ``note``.
+        ``note``.  ``profile`` asks for a profiled cell's entry.
         """
         from ..obs.manifest import config_digest, counters_digest
 
-        key = result_key(config, benchmark, refs, seed, scale)
+        key = result_key(config, benchmark, refs, seed, scale, profile=profile)
         path = self.path_for(key)
         try:
             raw = path.read_text(encoding="utf-8")
@@ -218,6 +225,7 @@ class ResultStore:
         refs: Optional[int] = None,
         seed: Optional[int] = None,
         note: Note = ignore_note,
+        profile: bool = False,
     ) -> Optional[Path]:
         """Memoise one completed cell; returns the entry path.
 
@@ -234,13 +242,15 @@ class ResultStore:
         I/O failure (full disk) returns ``None`` rather than raising: the
         store is an accelerator, never a single point of failure.
         Degradation, recovery and evictions are reported to ``note``.
+        ``profile`` marks a result simulated with the stall profiler.
         """
         from ..obs.manifest import config_digest, counters_digest
 
         req_refs = result.refs if refs is None else int(refs)
         req_seed = result.seed if seed is None else int(seed)
         key = result_key(
-            result.config, result.benchmark, req_refs, req_seed, scale
+            result.config, result.benchmark, req_refs, req_seed, scale,
+            profile=profile,
         )
         body: Dict[str, object] = {
             "store_version": STORE_VERSION,

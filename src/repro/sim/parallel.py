@@ -21,6 +21,11 @@ Mechanics:
   ``multiprocessing``, a sandboxed interpreter) degrades to the serial
   path rather than failing the sweep.
 
+Workers belong to a :class:`WorkerPool`.  A ``repro sweep --jobs N``
+pool lives for one sweep; a service job thread keeps its pool across
+jobs (``kept=True``: spawned lazily, in-process trace cache only, reused
+only after a clean sweep — see the class).
+
 Resilience (see ``docs/ROBUSTNESS.md``):
 
 * each cell gets ``max_retries`` attempts with exponential backoff; a
@@ -48,8 +53,10 @@ from __future__ import annotations
 
 import heapq
 import os
+import threading
 import time
 import traceback
+import uuid
 from collections import OrderedDict, deque
 from typing import (
     Callable,
@@ -213,7 +220,13 @@ def plan_cells(
     scale: float = DEFAULT_SCALE,
     profile: bool = False,
 ) -> List[SweepCell]:
-    """The sweep's work list, benchmark-major (identical to serial order)."""
+    """The sweep's work list, benchmark-major (identical to serial order).
+
+    ``REPRO_PROFILE`` is folded into each cell's ``profile`` flag here:
+    :func:`~repro.sim.runner.run_trace` honours the variable in whichever
+    process runs the cell, so the flag is what the result store keys on.
+    """
+    profile = profile or bool(setting("REPRO_PROFILE"))
     return [
         SweepCell(system, bench, config, refs, seed, scale, profile)
         for bench in benchmarks
@@ -256,16 +269,23 @@ def chunk_cells(cells: Sequence[SweepCell], jobs: int) -> List[List[SweepCell]]:
 
 
 def _attempt_cell(
-    cell: SweepCell, disk_cache: bool, attempt: int, note: Note
+    cell: SweepCell,
+    disk_cache: bool,
+    attempt: int,
+    note: Note,
+    timings: Optional[List[Tuple[str, float, float]]] = None,
 ) -> SimulationResult:
     """One attempt at one cell, with the fault-injection sites armed;
-    trace-cache recovery actions go to ``note``."""
+    trace-cache recovery actions go to ``note``.  With ``timings``, the
+    trace lookup (or generation) and the run are appended to it as
+    ``(span name, t0_unix, dur_s)``."""
     plan = faults.active_plan()
     if plan is not None:
         context = faults.cell_context(cell.system, cell.benchmark, cell.seed)
         plan.maybe_kill(context, attempt)
         plan.maybe_slow(context, attempt)
         plan.maybe_fail_cell(context, attempt)
+    t0 = time.time()
     trace = get_trace(
         cell.benchmark,
         refs=cell.refs,
@@ -274,8 +294,12 @@ def _attempt_cell(
         disk_cache=disk_cache,
         note=note,
     )
+    t1 = time.time()
     profiler = StallProfiler(cell.config) if cell.profile else None
-    return run_trace(cell.config, trace, system_name=cell.system, profiler=profiler)
+    result = run_trace(cell.config, trace, system_name=cell.system, profiler=profiler)
+    if timings is not None:
+        timings += [("get-trace", t0, t1 - t0), ("run-trace", t1, time.time() - t1)]
+    return result
 
 
 #: failures that retrying cannot fix (configuration is validated eagerly,
@@ -377,51 +401,80 @@ def _run_cells_serial(
 
 #: how often the supervisor wakes to check liveness/deadlines/backoff
 _POLL_S = 0.05
+#: how often an idle worker checks that its parent is still alive
+_ORPHAN_CHECK_S = 1.0
 
 
-def _service_worker(worker_id: int, task_q, result_q) -> None:
+def _service_worker(worker_id: int, task_q, result_q, disk_cache: bool) -> None:
     """Worker loop: take a task (a list of cells), report per-cell results.
 
-    Runs until it receives the ``None`` sentinel.  Every cell is bracketed
-    by a ``start`` message (so the parent can enforce wall-clock deadlines
-    and attribute losses) and an ``ok``/``err`` message; a task ends with
-    ``idle``.  Trace-cache recovery actions are forwarded as ``note``s.
+    Runs until it receives the ``None`` sentinel, or finds its parent
+    gone.  Every cell is bracketed by a ``start`` message (so the parent
+    can enforce wall-clock deadlines and attribute losses) and an
+    ``ok``/``err`` message; a task ends with ``idle``.  Trace-cache
+    recovery actions are forwarded as ``note``s.
     """
+    import queue as queue_mod
+
     faults.mark_worker_process()
+    parent_pid = os.getppid()
+
+    def orphaned() -> bool:
+        # This process holds both ends of task_q, so a dead parent never
+        # reads as EOF there; re-parenting is what shows it.
+        if os.getppid() == parent_pid:
+            return False
+        result_q.cancel_join_thread()  # nobody is left to read the buffer
+        return True
 
     def note(kind: str, detail: str = "") -> None:
         result_q.put(("note", worker_id, kind, detail))
 
+    proc = f"worker-{worker_id}"
     while True:
-        task = task_q.get()
+        try:
+            task = task_q.get(timeout=_ORPHAN_CHECK_S)
+        except queue_mod.Empty:
+            if orphaned():
+                return
+            continue
         if task is None:
             return
         items = task  # list of (cell_index, SweepCell, attempt)
         for idx, cell, attempt in items:
+            if orphaned():
+                return
             result_q.put(("start", worker_id, idx))
             try:
                 t0 = time.time()
-                result = _attempt_cell(cell, True, attempt, note)
-                # span payload travels BEFORE the result: the supervisor's
+                timings: List[Tuple[str, float, float]] = []
+                result = _attempt_cell(cell, disk_cache, attempt, note, timings)
+                # span payloads travel BEFORE the result: the supervisor's
                 # message loop exits once every cell is accounted for, and
-                # queue order per worker guarantees the span is drained
+                # queue order per worker guarantees the spans are drained
                 # first.  Wall-clock measured in the worker process — the
-                # cross-process leg of the job's span tree.
-                result_q.put((
-                    "span", worker_id, idx,
-                    {
-                        "name": "cell simulate",
-                        "t0_unix": t0,
-                        "dur_s": time.time() - t0,
-                        "proc": f"worker-{worker_id}",
-                        "args": {
-                            "system": cell.system,
-                            "benchmark": cell.benchmark,
-                            "attempt": attempt,
-                            "os_pid": os.getpid(),
-                        },
+                # cross-process leg of the job's span tree — with the
+                # trace and run children splitting it by layer.
+                span_id = uuid.uuid4().hex[:12]
+                payloads: List[Dict[str, object]] = [{
+                    "span_id": span_id,
+                    "name": "cell simulate",
+                    "t0_unix": t0,
+                    "dur_s": time.time() - t0,
+                    "proc": proc,
+                    "args": {
+                        "system": cell.system,
+                        "benchmark": cell.benchmark,
+                        "attempt": attempt,
+                        "os_pid": os.getpid(),
                     },
-                ))
+                }]
+                payloads += [
+                    {"parent_id": span_id, "name": name, "t0_unix": start,
+                     "dur_s": dur, "proc": proc}
+                    for name, start, dur in timings
+                ]
+                result_q.put(("span", worker_id, idx, payloads))
                 result_q.put(("ok", worker_id, idx, result))
             except Exception as exc:
                 info = {
@@ -452,16 +505,150 @@ class _WorkerHandle:
         self.task_q.put(items)
 
 
-def _spawn_worker(ctx, worker_id: int, result_q) -> _WorkerHandle:
-    task_q = ctx.Queue()
-    process = ctx.Process(
-        target=_service_worker,
-        args=(worker_id, task_q, result_q),
-        daemon=True,
-        name=f"repro-sweep-{worker_id}",
-    )
-    process.start()
-    return _WorkerHandle(process, task_q)
+def _repro_env() -> Dict[str, str]:
+    """The ``REPRO_*`` settings a worker inherits when it starts."""
+    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+
+
+class WorkerPool:
+    """Supervised sweep workers, their task queues and one result queue.
+
+    A pool either lives for one sweep — ``repro sweep --jobs N``: workers
+    from the default start method that share traces through the disk
+    cache, every one stopped when the sweep ends — or is **kept** by a
+    service job thread across its jobs (``kept=True``):
+
+    * its workers use the ``spawn`` start method (the server runs
+      threads) and start at the first simulated cell, not before;
+    * they use only their in-process trace cache, like the serial path,
+      so a job writes no trace file;
+    * after a clean sweep — every worker idle and alive, none lost,
+      killed or timed out, the sweep not aborted — worker 0 stays for the
+      next sweep and the extra workers of a ``jobs > 1`` sweep stop;
+    * after any other sweep, or once the ``REPRO_*`` environment has
+      changed, every worker and queue is torn down (a busy worker is
+      killed, its cell dropped) and the next sweep spawns fresh ones, so
+      no message of one sweep can reach the next.
+
+    :meth:`close` is final: a closed pool never respawns, and a sweep
+    still running on it finishes the way ``pool_unavailable`` does.
+    """
+
+    #: workers a kept pool holds between sweeps
+    KEEP = 1
+
+    def __init__(self, kept: bool = False) -> None:
+        self.kept = kept
+        #: workers share traces through the on-disk cache
+        self.disk_cache = not kept
+        self.workers: Dict[int, _WorkerHandle] = {}
+        self.result_q = None
+        self._ctx = None
+        self._env: Dict[str, str] = {}
+        self._closed = False
+        self._in_sweep = False
+        self._lock = threading.Lock()
+
+    def start(self, n: int) -> None:
+        """Begin a sweep with workers ``0..n-1`` running."""
+        if self.workers and self._env != _repro_env():
+            self.shutdown()
+        with self._lock:
+            # checked under the lock close() takes, so a concurrent
+            # close() either sees this sweep or this sweep sees it
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            self._in_sweep = True
+        for wid in range(n):
+            if wid not in self.workers:
+                self.spawn(wid)
+
+    def spawn(self, wid: int) -> None:
+        """Start worker ``wid``, replacing a dead one."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            if self.result_q is None:
+                import multiprocessing
+
+                self._ctx = multiprocessing.get_context("spawn" if self.kept else None)
+                self.result_q = self._ctx.Queue()
+                self._env = _repro_env()
+            task_q = self._ctx.Queue()
+            process = self._ctx.Process(
+                target=_service_worker,
+                args=(wid, task_q, self.result_q, self.disk_cache),
+                daemon=True,
+                name=f"repro-sweep-{wid}",
+            )
+            process.start()
+            self.workers[wid] = _WorkerHandle(process, task_q)
+
+    def end_sweep(self, clean: bool) -> None:
+        """Keep worker 0 of a kept pool after a clean sweep; else stop all."""
+        with self._lock:
+            self._in_sweep = False
+            keep = (
+                self.kept and clean and not self._closed
+                and all(h.idle and h.process.is_alive() for h in self.workers.values())
+            )
+            extra = [self.workers.pop(w) for w in list(self.workers) if keep and w >= self.KEEP]
+        if keep:
+            _stop_workers(extra, kill_busy=True)
+        else:
+            self.shutdown()
+
+    def shutdown(self) -> None:
+        """Stop every worker and drop the queues; a later sweep respawns."""
+        with self._lock:
+            handles = list(self.workers.values())
+            self.workers.clear()
+            result_q, self.result_q = self.result_q, None
+        _stop_workers(handles, kill_busy=self.kept)
+        if result_q is not None:
+            result_q.cancel_join_thread()
+
+    def close(self) -> None:
+        """Stop every worker for good; returns once none is alive.
+
+        Safe from another thread while a sweep runs on the pool: its
+        workers are killed, and the sweep's supervisor, unable to
+        respawn them, finishes the remaining cells serially.
+        """
+        with self._lock:
+            self._closed = True
+            in_sweep = self._in_sweep
+            handles = list(self.workers.values())
+        if not in_sweep:
+            self.shutdown()
+            return
+        for handle in handles:
+            handle.process.kill()
+        for handle in handles:
+            handle.process.join(timeout=1.0)
+
+
+def _stop_workers(handles: Sequence[_WorkerHandle], kill_busy: bool) -> None:
+    """Stop worker processes and wait (briefly) for them to exit.
+
+    An idle worker gets the ``None`` sentinel.  A busy one is killed at
+    once with ``kill_busy``; otherwise it gets the sentinel too and two
+    seconds to finish its cell before it is killed.
+    """
+    for handle in handles:
+        if kill_busy and not handle.idle:
+            handle.process.kill()
+            continue
+        try:
+            handle.task_q.put(None)
+        except (OSError, ValueError):
+            pass
+    deadline = time.monotonic() + 2.0
+    for handle in handles:
+        handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
+        if handle.process.is_alive():
+            handle.process.kill()
+            handle.process.join(timeout=1.0)
 
 
 def _execute_cells(
@@ -470,29 +657,28 @@ def _execute_cells(
     policy: SweepPolicy,
     recovery: RecoveryLog,
     journal: Optional[SweepJournal],
+    pool: WorkerPool,
     should_abort: Optional[Callable[[], bool]] = None,
     metrics=None,
     spans=None,
 ) -> Dict[Tuple[str, str], SimulationResult]:
-    """Fan ``cells`` over supervised workers with full fault handling."""
+    """Fan ``cells`` over ``pool``'s supervised workers with full fault
+    handling; the pool is released (kept or shut down) when this returns."""
     import queue as queue_mod
 
     try:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context()
-        result_q = ctx.Queue()
-        workers: Dict[int, _WorkerHandle] = {}
-        for wid in range(max(1, min(jobs, len(cells)))):
-            workers[wid] = _spawn_worker(ctx, wid, result_q)
+        pool.start(max(1, min(jobs, len(cells))))
     except Exception as exc:
-        # sandboxed interpreter / no working multiprocessing: run the whole
-        # sweep serially rather than failing it
+        # sandboxed interpreter / no working multiprocessing / a closed
+        # pool: run the whole sweep serially rather than failing it
+        pool.end_sweep(clean=False)
         recovery.note("pool_unavailable", detail=repr(exc))
         return _run_cells_serial(
-            cells, policy, recovery, journal, disk_cache=True,
+            cells, policy, recovery, journal, disk_cache=pool.disk_cache,
             should_abort=should_abort, metrics=metrics, spans=spans,
         )
+    workers = pool.workers
+    result_q = pool.result_q
 
     n = len(cells)
     results: Dict[int, SimulationResult] = {}
@@ -544,7 +730,7 @@ def _execute_cells(
             )
             try:
                 t0 = time.time()
-                result = _attempt_cell(cell, True, used, recovery.note)
+                result = _attempt_cell(cell, pool.disk_cache, used, recovery.note)
                 _note_simulated(metrics, spans, cell, t0, time.time() - t0)
                 record_ok(idx, result)
                 return
@@ -572,6 +758,8 @@ def _execute_cells(
                 handle.send(task_queue.popleft())
 
     def respawn(wid: int) -> None:
+        nonlocal lost
+        lost = True
         handle = workers[wid]
         started_idx = handle.started[0] if handle.started else None
         for idx, (cell, attempt) in handle.items.items():
@@ -580,16 +768,80 @@ def _execute_cells(
             # unstarted chunk-mates of a dead worker cost no attempt
             task_queue.append([(idx, cell, attempt)])
         try:
-            workers[wid] = _spawn_worker(ctx, wid, result_q)
-        except Exception as exc:  # pragma: no cover - spawn exhaustion
+            pool.spawn(wid)
+        except Exception as exc:  # spawn exhaustion or a pool closed under us
             recovery.note("pool_unavailable", detail=repr(exc))
             del workers[wid]
 
+    def receive() -> List[tuple]:
+        """Every queued message, blocking briefly on the first for pacing."""
+        messages = []
+        try:
+            messages.append(result_q.get(timeout=_POLL_S))
+            while True:
+                messages.append(result_q.get_nowait())
+        except queue_mod.Empty:
+            pass
+        return messages
+
+    def handle_message(message: tuple) -> None:
+        kind, wid = message[0], message[1]
+        handle = workers.get(wid)
+        if kind == "start":
+            if handle is not None:
+                handle.started = (message[2], time.monotonic())
+        elif kind == "ok":
+            idx, result = message[2], message[3]
+            record_ok(idx, result)
+            if handle is not None:
+                handle.items.pop(idx, None)
+                if handle.started and handle.started[0] == idx:
+                    handle.started = None
+        elif kind == "err":
+            idx, info = message[2], message[3]
+            attempt = 0
+            if handle is not None:
+                entry = handle.items.pop(idx, None)
+                if entry is not None:
+                    attempt = entry[1]
+                if handle.started and handle.started[0] == idx:
+                    handle.started = None
+            handle_failure(
+                idx, attempt, "error",
+                f"{info['type']}: {info['msg']}", info["type"],
+            )
+        elif kind == "idle":
+            if handle is not None:
+                handle.idle = True
+                handle.items = {}
+                handle.started = None
+        elif kind == "note":
+            recovery.note(message[2], detail=message[3])
+        elif kind == "span":
+            # worker-measured wall clock of one cell (and its trace/run
+            # children): feed the histogram/counter and the job's span tree
+            idx, payloads = message[2], message[3]
+            if idx not in results and metrics is not None:
+                metrics.inc(
+                    "repro_sweep_cells_total",
+                    labels={"outcome": "simulated"},
+                )
+                metrics.observe(
+                    "repro_sweep_cell_seconds",
+                    float(payloads[0].get("dur_s", 0.0)),
+                )
+            if spans is not None:
+                for payload in payloads:
+                    spans.add_raw(payload)
+
+    lost = False  # a worker died, was killed or timed out
+    clean = False
     try:
         while len(results) < n and not fatal:
             if should_abort is not None and should_abort():
                 # every journalled cell survives; the finally block below
-                # shuts the pool down, and the caller parks/cancels the job
+                # stops the workers (an in-flight cell is dropped), and the
+                # caller parks/cancels the job
                 raise JobCancelledError(
                     f"sweep aborted with {len(results)}/{n} cell(s) complete"
                 )
@@ -604,69 +856,16 @@ def _execute_cells(
                     {
                         _index_by_key(cells)[key]: res
                         for key, res in _run_cells_serial(
-                            remaining, policy, recovery, journal, disk_cache=True,
+                            remaining, policy, recovery, journal,
+                            disk_cache=pool.disk_cache,
                             should_abort=should_abort, metrics=metrics, spans=spans,
                         ).items()
                     }
                 )
                 break
 
-            # drain messages (block briefly on the first for pacing)
-            messages = []
-            try:
-                messages.append(result_q.get(timeout=_POLL_S))
-                while True:
-                    messages.append(result_q.get_nowait())
-            except queue_mod.Empty:
-                pass
-            for message in messages:
-                kind, wid = message[0], message[1]
-                handle = workers.get(wid)
-                if kind == "start":
-                    if handle is not None:
-                        handle.started = (message[2], time.monotonic())
-                elif kind == "ok":
-                    idx, result = message[2], message[3]
-                    record_ok(idx, result)
-                    if handle is not None:
-                        handle.items.pop(idx, None)
-                        if handle.started and handle.started[0] == idx:
-                            handle.started = None
-                elif kind == "err":
-                    idx, info = message[2], message[3]
-                    attempt = 0
-                    if handle is not None:
-                        entry = handle.items.pop(idx, None)
-                        if entry is not None:
-                            attempt = entry[1]
-                        if handle.started and handle.started[0] == idx:
-                            handle.started = None
-                    handle_failure(
-                        idx, attempt, "error",
-                        f"{info['type']}: {info['msg']}", info["type"],
-                    )
-                elif kind == "idle":
-                    if handle is not None:
-                        handle.idle = True
-                        handle.items = {}
-                        handle.started = None
-                elif kind == "note":
-                    recovery.note(message[2], detail=message[3])
-                elif kind == "span":
-                    # worker-measured per-cell wall clock: feed the
-                    # histogram/counter and the job's span tree
-                    idx, payload = message[2], message[3]
-                    if idx not in results and metrics is not None:
-                        metrics.inc(
-                            "repro_sweep_cells_total",
-                            labels={"outcome": "simulated"},
-                        )
-                        metrics.observe(
-                            "repro_sweep_cell_seconds",
-                            float(payload.get("dur_s", 0.0)),
-                        )
-                    if spans is not None:
-                        spans.add_raw(payload)
+            for message in receive():
+                handle_message(message)
 
             # liveness: a worker that died mid-task loses its in-flight cell
             now = time.monotonic()
@@ -718,19 +917,17 @@ def _execute_cells(
                         f"exceeded {policy.cell_timeout_s:g}s wall clock",
                     )
                     respawn(wid)
+        # a kept pool is reused only once every worker has reported idle,
+        # which also leaves nothing of this sweep in the result queue
+        deadline = time.monotonic() + 1.0
+        while (pool.kept and not fatal and time.monotonic() < deadline
+               and not all(h.idle or not h.process.is_alive()
+                           for h in workers.values())):
+            for message in receive():
+                handle_message(message)
+        clean = not fatal and not lost
     finally:
-        for handle in workers.values():
-            try:
-                handle.task_q.put(None)
-            except (OSError, ValueError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for handle in workers.values():
-            handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=1.0)
-        result_q.cancel_join_thread()
+        pool.end_sweep(clean)
 
     if fatal:
         raise fatal[0]
@@ -773,6 +970,7 @@ def run_parallel_sweep(
     spans=None,
     request_id: Optional[str] = None,
     profile: bool = False,
+    pool: Optional[WorkerPool] = None,
 ) -> Dict[Tuple[str, str], SimulationResult]:
     """Fan a sweep matrix over ``jobs`` worker processes, fault-tolerantly.
 
@@ -794,6 +992,11 @@ def run_parallel_sweep(
 
     ``profile`` — attach a :class:`repro.obs.profile.StallProfiler` to
     every simulated cell, in whichever process runs it.
+
+    ``pool`` — a kept :class:`WorkerPool` (a service job thread's): every
+    cell left to simulate runs on it, even a single one, with no trace
+    pre-seed.  Without one, ``jobs > 1`` runs on a pool that lives for
+    this sweep and ``jobs == 1`` runs serially in this process.
 
     ``should_abort`` — an optional zero-argument callable polled between
     cells (and each supervisor tick).  When it turns true the sweep
@@ -876,6 +1079,7 @@ def run_parallel_sweep(
                 hit = result_store.get(
                     c.config, c.benchmark, refs=c.refs, seed=c.seed,
                     scale=c.scale, system=c.system, note=recovery.note,
+                    profile=c.profile,
                 )
                 if hit is not None:
                     done[key] = hit
@@ -895,13 +1099,14 @@ def run_parallel_sweep(
                         journal.append(hit, c.scale, source="cache")
                     continue
             todo.append(c)
-        if todo:
-            if jobs <= 1 or len(todo) <= 1:
-                fresh = _run_cells_serial(
-                    todo, policy, recovery, journal, disk_cache=False,
-                    should_abort=should_abort, metrics=metrics, spans=spans,
-                )
-            else:
+        if todo and pool is None and (jobs <= 1 or len(todo) <= 1):
+            done.update(_run_cells_serial(
+                todo, policy, recovery, journal, disk_cache=False,
+                should_abort=should_abort, metrics=metrics, spans=spans,
+            ))
+        elif todo:
+            if pool is None:
+                pool = WorkerPool()
                 # Pre-seed the disk cache so no worker regenerates a trace.
                 # Under the default fork start method workers additionally
                 # inherit the parent's warm in-process cache for free.
@@ -911,11 +1116,10 @@ def run_parallel_sweep(
                                   disk_cache=True, note=recovery.note)
                     except OSError:
                         pass  # workers fall back to generating it themselves
-                fresh = _execute_cells(
-                    todo, jobs, policy, recovery, journal,
-                    should_abort=should_abort, metrics=metrics, spans=spans,
-                )
-            done.update(fresh)
+            done.update(_execute_cells(
+                todo, jobs, policy, recovery, journal, pool,
+                should_abort=should_abort, metrics=metrics, spans=spans,
+            ))
 
         if result_store is not None:
             # memoise everything this sweep actually produced (fresh cells and
@@ -929,7 +1133,7 @@ def run_parallel_sweep(
                     continue
                 if result_store.put(
                     done[key], cell.scale, refs=cell.refs, seed=cell.seed,
-                    note=recovery.note,
+                    note=recovery.note, profile=cell.profile,
                 ) is not None:
                     stored += 1
             if spans is not None:

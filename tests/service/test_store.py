@@ -61,6 +61,14 @@ class TestResultKey:
         )
         assert plain != tuned
 
+    def test_profile_joins_key_only_when_set(self):
+        # unprofiled keys are pinned: stores on disk stay readable
+        cfg = system_config("vb")
+        plain = result_key(cfg, "fft", REFS, SEED, SCALE)
+        assert plain == "073d1b9e10acc22d4a8dc40985503543b6344cb5"
+        assert result_key(cfg, "fft", REFS, SEED, SCALE, profile=False) == plain
+        assert result_key(cfg, "fft", REFS, SEED, SCALE, profile=True) != plain
+
 
 class TestRoundTrip:
     def test_hit_is_bit_identical(self, store):
@@ -349,6 +357,37 @@ class TestSweepIntegration:
         for key, r in first.items():
             assert second[key].counters == r.counters
             assert second[key].metrics == r.metrics
+
+    def test_profiled_request_not_served_unprofiled_entry(self, store):
+        from repro.obs.profile import profiled_cells
+
+        sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+              result_store=store)
+        profiled = sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+                         result_store=store, profile=True)
+        assert profiled_cells(profiled[("vb", "fft")].metrics) == ["vb/fft"]
+        assert store.stats()["hits"] == 0
+
+    @pytest.mark.parametrize("how", ["argument", "environment"])
+    def test_unprofiled_request_not_served_profiled_entry(self, store,
+                                                          monkeypatch, how):
+        from repro.obs.manifest import build_manifest, manifest_core
+
+        plain = sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE)
+        # REPRO_PROFILE profiles a cell as surely as profile=True does
+        if how == "environment":
+            monkeypatch.setenv("REPRO_PROFILE", "1")
+        sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+              result_store=store, profile=how == "argument")
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        served = sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+                       result_store=store)
+        assert store.stats()["hits"] == 0
+        assert served[("vb", "fft")].metrics == plain[("vb", "fft")].metrics
+        core = [manifest_core(build_manifest(r, refs=REFS, seed=SEED,
+                                             scale=SCALE))
+                for r in (plain, served)]
+        assert core[0] == core[1]
 
     def test_journal_marks_cached_cells(self, store, tmp_path):
         sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,

@@ -398,6 +398,32 @@ class TestManifests:
             jobs=1, wall_s=wall)
         assert path is not None and path.parent == tmp_path
 
+    def test_git_sha_resolved_once_per_process(self, monkeypatch):
+        # every manifest used to fork `git rev-parse`; one call now serves
+        # the process, while REPRO_GIT_SHA still wins on every call
+        import subprocess
+
+        from repro.obs import manifest
+
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.delenv("REPRO_GIT_SHA", raising=False)
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        manifest._head_sha.cache_clear()
+        results, wall = self._sweep()
+        first = build_manifest(results, refs=REFS, seed=1, wall_s=wall)
+        second = build_manifest(results, refs=REFS, seed=1, wall_s=wall)
+        assert len(calls) <= 1
+        assert first["git_sha"] == second["git_sha"]
+        monkeypatch.setenv("REPRO_GIT_SHA", "feedface")
+        assert build_manifest(results, refs=REFS, seed=1)["git_sha"] == "feedface"
+        assert len(calls) <= 1
+
     def test_config_digest_distinguishes_configs(self):
         configs = resolve_sweep_configs(["base", "vb"])
         assert config_digest(configs["base"]) != config_digest(configs["vb"])
