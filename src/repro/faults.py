@@ -93,10 +93,6 @@ def mark_worker_process() -> None:
     _in_worker = True
 
 
-def in_worker_process() -> bool:
-    return _in_worker
-
-
 class FaultPlan:
     """A parsed, seeded fault schedule (see module docstring for grammar)."""
 

@@ -31,7 +31,7 @@ totals under ``trace.``.  The full catalog is documented in
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Snapshot = Dict[str, Dict[str, object]]
@@ -40,18 +40,24 @@ Snapshot = Dict[str, Dict[str, object]]
 class Histogram:
     """Fixed-boundary histogram: ``len(bounds) + 1`` buckets.
 
-    A value ``v`` lands in the first bucket whose upper bound exceeds it;
-    values above every bound land in the overflow bucket.
+    Buckets are upper-inclusive, the Prometheus ``le`` rule: a value
+    ``v`` lands in the first bucket whose bound ``b`` has ``v <= b``;
+    values above every bound land in the overflow bucket.  This is the
+    one bucketing rule of both registries.  ``sum`` totals the recorded
+    values for the wall-clock registry's ``_sum`` series; :meth:`as_dict`,
+    the simulated-time snapshot form, keeps bounds and counts only.
     """
 
-    __slots__ = ("bounds", "counts")
+    __slots__ = ("bounds", "counts", "sum")
 
     def __init__(self, bounds: Sequence[float]) -> None:
         self.bounds: Tuple[float, ...] = tuple(bounds)
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
+        self.sum = 0.0
 
     def record(self, value: float, count: int = 1) -> None:
-        self.counts[bisect_right(self.bounds, value)] += count
+        self.counts[bisect_left(self.bounds, value)] += count
+        self.sum += value * count
 
     @property
     def total(self) -> int:
@@ -64,6 +70,7 @@ class Histogram:
             )
         for i, c in enumerate(other.counts):
             self.counts[i] += c
+        self.sum += other.sum
 
     def as_dict(self) -> Dict[str, object]:
         return {"bounds": list(self.bounds), "counts": list(self.counts)}
@@ -71,13 +78,14 @@ class Histogram:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Histogram":
         h = cls(data["bounds"])  # type: ignore[arg-type]
-        counts = list(data["counts"])  # type: ignore[arg-type]
+        counts = [int(c) for c in data["counts"]]  # type: ignore[attr-defined]
         if len(counts) != len(h.bounds) + 1:
             raise ValueError(
                 f"histogram counts/bounds mismatch: {len(h.bounds)} bounds "
                 f"need {len(h.bounds) + 1} buckets, got {len(counts)}"
             )
         h.counts = counts
+        h.sum = float(data.get("sum", 0.0))  # type: ignore[arg-type]
         return h
 
 

@@ -18,8 +18,8 @@ reference that resolves on a given path stalls the same constant number of
 cycles.  The profiler exploits that — hooks only bump per-window integer
 tallies on the miss path (the inlined L1 read-hit loop carries **no**
 profiler code, exactly like event tracing), and the per-component cycle
-totals and stall histograms are reconstructed exactly from the event counts
-when :meth:`StallProfiler.finish` runs.  Profiling is therefore cheap, but
+totals are reconstructed exactly from the event counts when
+:meth:`StallProfiler.finish` runs.  Profiling is therefore cheap, but
 it is still **off by default**: ``benchmarks/bench_core.py`` pins both the
 profiler-off and the profiler-on throughput floors.
 
@@ -31,8 +31,9 @@ read-stall cycles, and end-of-window NC occupancy — how the caches
 
 Everything lands in the run's standard metrics snapshot under
 per-(system, benchmark) keys (``profile.stall/<system>/<bench>/<component>``,
-``hist.stall/...``, ``series.profile/...``), so parallel sweep workers ship
-it home unchanged and sweeps aggregate it bit-identically to a serial run.
+``profile.reads/...``, ``series.profile/...``), so parallel sweep workers
+ship it home unchanged and sweeps aggregate it bit-identically to a serial
+run.
 
 Enable per call (``simulate(..., profile=True)``, ``sweep(...,
 profile=True)``, which ``repro sweep --profile`` uses), per process
@@ -42,11 +43,10 @@ profile=True)``, which ``repro sweep --profile`` uses), per process
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Callable, Dict, List, Optional
 
 from ..params import setting
-from .metrics import Histogram, Snapshot, merge_snapshots
+from .metrics import Snapshot
 
 #: Eq. 1 components, in the paper's presentation order
 STALL_COMPONENTS = (
@@ -56,11 +56,6 @@ STALL_COMPONENTS = (
     "remote_miss",  #: the access crossed the network to the home node
     "relocation",   #: page-relocation overhead (T_rel per relocation)
 )
-
-#: per-reference stall buckets, in bus cycles: sized so every Table 1/2
-#: latency (1, 10, 13, 30, 33) lands in its own bucket and the 225-cycle
-#: relocation span lands in the overflow bucket
-STALL_HIST_BOUNDS = (0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 30.0, 35.0, 100.0)
 
 #: timeline metrics recorded per window (series.profile/<sys>/<bench>/<name>)
 TIMELINE_METRICS = (
@@ -79,7 +74,7 @@ class StallProfiler:
 
     The simulator calls one ``on_*`` hook per remote-miss outcome — all on
     the miss path, all O(1) integer bumps — and :meth:`finish` freezes the
-    run into totals, histograms, and the windowed timeline.  A profiler is
+    run into totals and the windowed timeline.  A profiler is
     single-use: one run, one ``finish``, then :meth:`snapshot`.
     """
 
@@ -236,27 +231,19 @@ class StallProfiler:
         """The profile as an ``obs.metrics``-style snapshot.
 
         Keys are namespaced per (system, benchmark) so a sweep-level
-        aggregate keeps every cell's attribution separate — the
-        "per-(benchmark, system, component) histograms" of the profiling
-        layer's contract — and merging is collision-free and
-        bit-deterministic.
+        aggregate keeps every cell's attribution separate, and merging is
+        collision-free and bit-deterministic.  Every reference on one
+        component stalls the same constant latency, so the per-component
+        read counts are the whole distribution.
         """
         if not self._finished:
             raise RuntimeError("snapshot() before finish(); profile incomplete")
         prefix = f"{system}/{benchmark}"
         counters: Dict[str, object] = {}
-        hists: Dict[str, object] = {}
         cycles = self.stall_cycles
         for comp in STALL_COMPONENTS:
             counters[f"profile.stall/{prefix}/{comp}"] = cycles[comp]
             counters[f"profile.reads/{prefix}/{comp}"] = self.reads[comp]
-            hist = Histogram(STALL_HIST_BOUNDS)
-            # constant latency per component => the whole distribution
-            # sits in one bucket; reconstructed exactly from the count
-            hist.counts[bisect_right(hist.bounds, self.latencies[comp])] = (
-                self.reads[comp]
-            )
-            hists[f"hist.stall/{prefix}/{comp}"] = hist.as_dict()
         counters[f"profile.refs/{prefix}"] = self.refs
         series = {
             f"series.profile/{prefix}/{metric}": {
@@ -268,7 +255,7 @@ class StallProfiler:
         return {
             "counters": dict(sorted(counters.items())),
             "gauges": {},
-            "histograms": dict(sorted(hists.items())),
+            "histograms": {},
             "series": dict(sorted(series.items())),
         }
 
@@ -310,8 +297,3 @@ def stall_breakdown(
     return {
         comp: int(counters.get(prefix + comp, 0)) for comp in STALL_COMPONENTS
     }
-
-
-def merge_profile_into(base: Optional[Snapshot], profile: Snapshot) -> Snapshot:
-    """Fold a profiler snapshot into a run's standard metrics snapshot."""
-    return merge_snapshots(base, profile)

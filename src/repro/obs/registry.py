@@ -12,9 +12,11 @@ Design points:
   series in sorted label-value order, and label names are sorted at the
   series key, so two processes that record the same facts expose
   byte-identical text regardless of call order or kwarg order.
-- **Fixed-bucket histograms.**  Bucket bounds are pinned on first use and
-  rendered cumulatively with the standard ``le`` label (upper-inclusive),
-  ``_sum`` and ``_count`` series.
+- **Fixed-bucket histograms.**  Bucket bounds are pinned on first use;
+  each series is an :class:`repro.obs.metrics.Histogram`, so both
+  registries bucket by one rule (upper-inclusive, ``value <= bound``).
+  They render cumulatively with the standard ``le`` label, ``_sum`` and
+  ``_count`` series.
 - **Snapshot persistence.**  ``save()`` writes an atomic JSON snapshot
   (:func:`repro.durable.write_atomic`, like every other artifact);
   ``load()`` / ``merge()`` *add* counter and histogram state, so a
@@ -32,10 +34,10 @@ import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..durable import read_json, write_atomic
+from .metrics import Histogram
 
 __all__ = [
     "WallClockRegistry",
-    "MetricsRegistry",
     "METRICS_CONTENT_TYPE",
     "METRICS_SNAPSHOT_NAME",
     "DEFAULT_TIME_BUCKETS",
@@ -163,30 +165,12 @@ class WallClockRegistry:
                     raise ValueError(f"histogram {name!r} needs at least one bucket")
                 self._hist_bounds[name] = bounds
             key = fam.key_for(name, labels)
-            series = fam.series.get(key)
-            if series is None:
-                series = {"counts": [0] * (len(bounds) + 1), "sum": 0.0}
-                fam.series[key] = series
-            idx = len(bounds)
-            for i, bound in enumerate(bounds):
-                if value <= bound:
-                    idx = i
-                    break
-            series["counts"][idx] += 1
-            series["sum"] += float(value)
+            hist = fam.series.get(key)
+            if hist is None:
+                hist = fam.series[key] = Histogram(bounds)
+            hist.record(float(value))
 
     # -- reading -----------------------------------------------------------
-
-    def counter_value(self, name: str, labels: LabelDict = None) -> float:
-        with self._lock:
-            fam = self._counters.get(name)
-            if fam is None:
-                return 0.0
-            try:
-                key = fam.key_for(name, labels)
-            except ValueError:
-                return 0.0
-            return float(fam.series.get(key, 0.0))
 
     def counter_total(self, name: str) -> float:
         """Sum of a counter family across all label sets."""
@@ -214,8 +198,8 @@ class WallClockRegistry:
             fam = self._histograms.get(name)
             if fam is None:
                 return 0, 0.0
-            count = sum(sum(s["counts"]) for s in fam.series.values())
-            total = sum(s["sum"] for s in fam.series.values())
+            count = sum(h.total for h in fam.series.values())
+            total = sum(h.sum for h in fam.series.values())
             return int(count), float(total)
 
     # -- exposition --------------------------------------------------------
@@ -253,20 +237,19 @@ class WallClockRegistry:
                         value = fam.series[key]
                         lines.append(f"{name}{label_blob} {_format_value(value)}")
                         continue
-                    bounds = self._hist_bounds[name]
-                    series = fam.series[key]
+                    hist = fam.series[key]
                     cumulative = 0
-                    for bound, count in zip(bounds, series["counts"]):
+                    for bound, count in zip(hist.bounds, hist.counts):
                         cumulative += count
                         bucket_pairs = pairs + [f'le="{_format_value(bound)}"']
                         lines.append(
                             f"{name}_bucket{{{','.join(bucket_pairs)}}} {cumulative}"
                         )
-                    cumulative += series["counts"][-1]
+                    cumulative += hist.counts[-1]
                     inf_pairs = pairs + ['le="+Inf"']
                     lines.append(f"{name}_bucket{{{','.join(inf_pairs)}}} {cumulative}")
                     label_blob = "{" + ",".join(pairs) + "}" if pairs else ""
-                    lines.append(f"{name}_sum{label_blob} {_format_value(series['sum'])}")
+                    lines.append(f"{name}_sum{label_blob} {_format_value(hist.sum)}")
                     lines.append(f"{name}_count{label_blob} {cumulative}")
             return "\n".join(lines) + ("\n" if lines else "")
 
@@ -275,14 +258,14 @@ class WallClockRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe, deterministic dump of the whole registry."""
 
-        def dump(table: Dict[str, _Family]) -> Dict[str, Any]:
+        def dump(table: Dict[str, _Family], form=lambda value: value) -> Dict[str, Any]:
             out: Dict[str, Any] = {}
             for name in sorted(table):
                 fam = table[name]
                 out[name] = {
                     "labels": list(fam.label_names or ()),
                     "series": [
-                        [list(key), fam.series[key]] for key in sorted(fam.series)
+                        [list(key), form(fam.series[key])] for key in sorted(fam.series)
                     ],
                 }
             return out
@@ -292,14 +275,16 @@ class WallClockRegistry:
                 "version": _SNAPSHOT_VERSION,
                 "counters": dump(self._counters),
                 "gauges": dump(self._gauges),
-                "histograms": dump(self._histograms),
+                "histograms": dump(
+                    self._histograms, lambda h: {"counts": h.counts, "sum": h.sum}
+                ),
                 "bounds": {
                     name: list(bounds)
                     for name, bounds in sorted(self._hist_bounds.items())
                 },
                 "help": dict(sorted(self._help.items())),
             }
-            # histogram series hold mutable dicts; deep-copy via JSON round
+            # histogram counts are mutable lists; deep-copy via JSON round
             # trip so callers can stash snapshots without aliasing.
             return json.loads(json.dumps(snap, sort_keys=True))
 
@@ -348,20 +333,16 @@ class WallClockRegistry:
                 if fam.label_names is None:
                     fam.label_names = tuple(payload.get("labels", ()))
                 for raw_key, series in payload.get("series", []):
-                    key = tuple(str(v) for v in raw_key)
-                    counts = [int(c) for c in series.get("counts", [])]
-                    if len(counts) != len(incoming_bounds) + 1:
+                    try:
+                        hist = Histogram.from_dict(dict(series, bounds=incoming_bounds))
+                    except (KeyError, ValueError):
                         continue
+                    key = tuple(str(v) for v in raw_key)
                     local = fam.series.get(key)
                     if local is None:
-                        fam.series[key] = {
-                            "counts": counts,
-                            "sum": float(series.get("sum", 0.0)),
-                        }
+                        fam.series[key] = hist
                     else:
-                        for i, c in enumerate(counts):
-                            local["counts"][i] += c
-                        local["sum"] += float(series.get("sum", 0.0))
+                        local.merge(hist)
 
     def save(self, path: "os.PathLike[str]") -> bool:
         """Atomically persist the snapshot; returns False on I/O trouble."""
@@ -387,9 +368,3 @@ def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> WallClockRegistry
     for snap in snapshots:
         registry.merge(snap)
     return registry
-
-
-# The issue and docs name this class ``MetricsRegistry``; keep that name
-# importable from this module without colliding with the simulated-time
-# ``repro.obs.metrics.MetricsRegistry`` in the package namespace.
-MetricsRegistry = WallClockRegistry

@@ -5,8 +5,11 @@ shape) submitted over HTTP.  The :class:`JobManager` gives each job a
 directory under ``<data_dir>/jobs/<job_id>/`` holding
 
 * ``job.json`` — the validated spec and the job's state machine
-  (``queued -> running -> done | failed``), rewritten atomically on
-  every transition;
+  (``queued -> running -> done | failed | cancelled``), written
+  atomically at submit, at the terminal state and when a restart or a
+  drain re-queues the job.  The ``running`` transition is not written:
+  a restart treats a ``queued`` or ``running`` job alike and a run
+  re-stamps ``started_unix``, so that write would carry nothing;
 * ``run/`` — a standard :class:`~repro.sim.checkpoint.SweepJournal` run
   directory, written by the same fault-tolerant sweep engine every CLI
   sweep uses, which is what makes jobs **resumable**: a server killed
@@ -615,7 +618,6 @@ class JobManager:
             job.state = "running"
             abort = self._aborts.setdefault(job_id, threading.Event())
         job.started_unix = time.time()
-        self._persist(job)
         self._emit("job_started", job)
         queue_wait = max(0.0, job.started_unix - job.created_unix)
         self.metrics.observe("repro_job_queue_wait_seconds", queue_wait)

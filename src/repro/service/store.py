@@ -34,12 +34,13 @@ from typing import Dict, Optional, Union
 from ..durable import Note, cache_dir, ignore_note, quarantine, remove_files, write_atomic
 from ..faults import active_plan
 from ..params import SystemConfig, setting
-from ..stats import Counters
 from ..trace.io import trace_cache_key
 from ..trace.record import TraceSpec
 from ..sim.results import SimulationResult
 
-STORE_VERSION = 1
+#: 2: histogram buckets became upper-inclusive and the stall histograms
+#: left the profile; version-1 entries are never read (their keys differ)
+STORE_VERSION = 2
 
 
 def service_data_dir() -> Path:
@@ -168,8 +169,6 @@ class ResultStore:
         wrong bytes, only fail to serve.  The quarantine is reported to
         ``note``.  ``profile`` asks for a profiled cell's entry.
         """
-        from ..obs.manifest import config_digest, counters_digest
-
         key = result_key(config, benchmark, refs, seed, scale, profile=profile)
         path = self.path_for(key)
         try:
@@ -185,13 +184,7 @@ class ResultStore:
                 raise ValueError(f"store version {body.get('store_version')}")
             if body.get("payload_sha") != _payload_sha(body):
                 raise ValueError("payload digest mismatch")
-            if body.get("config_sha") != config_digest(config):
-                raise ValueError("config digest mismatch")
-            counters = Counters(
-                **{k: int(v) for k, v in body["counters"].items()}
-            )
-            if counters_digest(counters) != body["counters_sha"]:
-                raise ValueError("counters digest mismatch")
+            result = SimulationResult.restore(body, config)
             if (int(body["req_refs"]) != int(refs)
                     or int(body["req_seed"]) != int(seed)):
                 raise ValueError("identity fields disagree with the key")
@@ -205,16 +198,9 @@ class ResultStore:
             os.utime(path, None)
         except OSError:
             pass  # read-only root: recency update is best-effort
-        return SimulationResult(
-            system=system or str(body.get("system", "")),
-            benchmark=benchmark,
-            config=config,
-            counters=counters,
-            refs=int(body["refs"]),
-            seed=int(body["seed"]),
-            elapsed_s=0.0,  # a cache hit costs no engine time
-            metrics=body.get("metrics"),
-        )
+        result.system = system or result.system
+        result.benchmark = benchmark
+        return result
 
     # ---- writing ---------------------------------------------------------
 
@@ -244,30 +230,20 @@ class ResultStore:
         Degradation, recovery and evictions are reported to ``note``.
         ``profile`` marks a result simulated with the stall profiler.
         """
-        from ..obs.manifest import config_digest, counters_digest
-
         req_refs = result.refs if refs is None else int(refs)
         req_seed = result.seed if seed is None else int(seed)
         key = result_key(
             result.config, result.benchmark, req_refs, req_seed, scale,
             profile=profile,
         )
-        body: Dict[str, object] = {
-            "store_version": STORE_VERSION,
-            "key": key,
-            "system": result.system,
-            "benchmark": result.benchmark,
-            "req_refs": req_refs,
-            "req_seed": req_seed,
-            "refs": result.refs,
-            "seed": result.seed,
-            "scale": scale,
-            "config_sha": config_digest(result.config),
-            "counters": result.counters.as_dict(),
-            "counters_sha": counters_digest(result.counters),
-            "metrics": result.metrics,
-            "created_unix": time.time(),
-        }
+        body = result.record(scale)
+        body.update(
+            store_version=STORE_VERSION,
+            key=key,
+            req_refs=req_refs,
+            req_seed=req_seed,
+            created_unix=time.time(),
+        )
         body["payload_sha"] = _payload_sha(body)
         path = self.path_for(key)
         plan = active_plan()

@@ -9,8 +9,10 @@ crash or a killed parent must not throw away a 400k-reference run.  A
   with different parameters raises
   :class:`~repro.errors.CheckpointError` instead of silently mixing runs.
 * ``journal.jsonl`` — one JSON record per completed ``(system,
-  benchmark)`` cell: the full counter tally, the metrics snapshot, and
-  content digests of both the counters and the system configuration.
+  benchmark)`` cell: :meth:`SimulationResult.record
+  <repro.sim.results.SimulationResult.record>` (the full counter tally,
+  the metrics snapshot, and content digests of both the counters and the
+  system configuration) plus the version, provenance and elapsed time.
   Records are appended with flush + fsync, so a crash loses at most the
   line being written — and a torn final line is *tolerated* on load
   (skipped and re-simulated), never fatal.
@@ -33,12 +35,12 @@ from typing import IO, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..durable import read_json, write_atomic
 from ..errors import CheckpointError
-from ..obs.manifest import config_digest, counters_digest
 from ..params import SystemConfig
-from ..stats import Counters
-from .results import SimulationResult
+from .results import SimulationResult, StaleRecord
 
-JOURNAL_VERSION = 1
+#: 2: histogram buckets became upper-inclusive and the stall histograms
+#: left the profile, so version-1 metrics must never merge with fresh ones
+JOURNAL_VERSION = 2
 HEADER_NAME = "run.json"
 JOURNAL_NAME = "journal.jsonl"
 #: live recovery-action feed written beside the journal (one JSON object
@@ -68,7 +70,7 @@ class SweepJournal:
         #: HTTP correlation id stamped into appended rows.  Provenance
         #: only, like ``source``: deliberately NOT part of the run.json
         #: identity (a resumed run under a new request id must match),
-        #: and ignored by :meth:`_restore`.
+        #: and ignored by :meth:`load`.
         self.request_id: Optional[str] = None
 
     # ---- lifecycle -------------------------------------------------------
@@ -147,10 +149,11 @@ class SweepJournal:
         """Restore every trustworthy completed cell from the journal.
 
         Tolerates a torn trailing line (a worker or parent killed
-        mid-append) by skipping it; discards records whose counter digest
-        fails or whose config digest no longer matches ``configs`` — those
-        cells are simply re-simulated.  Duplicate cells keep the newest
-        record.
+        mid-append) by skipping it; discards as stale the records of
+        another journal version or of a system not in ``configs``, and
+        those whose counter digest fails or whose config digest no longer
+        matches ``configs`` — those cells are simply re-simulated.
+        Duplicate cells keep the newest record.
         """
         self.restored = 0
         self.torn_lines = 0
@@ -158,9 +161,6 @@ class SweepJournal:
         path = self.journal_path
         if not path.exists():
             return {}
-        config_digests = {
-            name: config_digest(config) for name, config in configs.items()
-        }
         out: Dict[Tuple[str, str], SimulationResult] = {}
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -169,43 +169,20 @@ class SweepJournal:
                     continue
                 try:
                     rec = json.loads(line)
-                    result = self._restore(rec, configs, config_digests)
+                    if (rec.get("journal_version") != JOURNAL_VERSION
+                            or rec["system"] not in configs):
+                        raise StaleRecord("another journal version or system")
+                    result = SimulationResult.restore(rec, configs[rec["system"]])
+                    result.elapsed_s = float(rec.get("elapsed_s", 0.0))
+                except StaleRecord:
+                    self.stale_records += 1
+                    continue
                 except (ValueError, KeyError, TypeError):
                     self.torn_lines += 1
-                    continue
-                if result is None:
-                    self.stale_records += 1
                     continue
                 out[(result.system, result.benchmark)] = result
         self.restored = len(out)
         return out
-
-    def _restore(
-        self,
-        rec: dict,
-        configs: Mapping[str, SystemConfig],
-        config_digests: Mapping[str, str],
-    ) -> Optional[SimulationResult]:
-        if rec.get("journal_version") != JOURNAL_VERSION:
-            return None
-        system = rec["system"]
-        if system not in configs:
-            return None
-        if rec["config_sha"] != config_digests[system]:
-            return None  # configuration changed since the cell ran
-        counters = Counters(**{k: int(v) for k, v in rec["counters"].items()})
-        if counters_digest(counters) != rec["counters_sha"]:
-            return None  # bit-rot or a hand-edited journal
-        return SimulationResult(
-            system=system,
-            benchmark=rec["benchmark"],
-            config=configs[system],
-            counters=counters,
-            refs=int(rec["refs"]),
-            seed=int(rec["seed"]),
-            elapsed_s=float(rec.get("elapsed_s", 0.0)),
-            metrics=rec.get("metrics"),
-        )
 
     # ---- writing ---------------------------------------------------------
 
@@ -222,20 +199,12 @@ class SweepJournal:
         part in resume validation, but ``repro top`` and the service's
         job endpoints surface it so cache hits are visible per cell.
         """
-        rec = {
-            "journal_version": JOURNAL_VERSION,
-            "source": source,
-            "system": result.system,
-            "benchmark": result.benchmark,
-            "refs": result.refs,
-            "seed": result.seed,
-            "scale": scale,
-            "config_sha": config_digest(result.config),
-            "counters": result.counters.as_dict(),
-            "counters_sha": counters_digest(result.counters),
-            "metrics": result.metrics,
-            "elapsed_s": result.elapsed_s,
-        }
+        rec = result.record(scale)
+        rec.update(
+            journal_version=JOURNAL_VERSION,
+            source=source,
+            elapsed_s=result.elapsed_s,
+        )
         if self.request_id:
             rec["request_id"] = self.request_id
         if self._fh is None:

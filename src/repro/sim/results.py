@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
+from ..obs.manifest import config_digest, counters_digest
 from ..params import SystemConfig
 from ..stats import Counters
 from . import latency as _lat
+
+
+class StaleRecord(ValueError):
+    """A persisted cell whose config or counters digest does not match."""
 
 
 @dataclass
@@ -25,6 +30,53 @@ class SimulationResult:
     #: dicts of counters/gauges/histograms, deterministic per (config, trace)
     #: and picklable, so parallel sweep workers return it unchanged
     metrics: Optional[Dict[str, Dict[str, object]]] = field(default=None, repr=False)
+
+    # ---- persistence ------------------------------------------------------
+
+    def record(self, scale: float) -> Dict[str, object]:
+        """The fields a sweep-journal row and a result-store entry share.
+
+        ``scale`` is the trace scale the cell ran at, which a result does
+        not carry.  The config and counters digests let :meth:`restore`
+        refuse a record that no longer matches.
+        """
+        return {
+            "system": self.system,
+            "benchmark": self.benchmark,
+            "refs": self.refs,
+            "seed": self.seed,
+            "scale": scale,
+            "config_sha": config_digest(self.config),
+            "counters": self.counters.as_dict(),
+            "counters_sha": counters_digest(self.counters),
+            "metrics": self.metrics,
+        }
+
+    @classmethod
+    def restore(
+        cls, rec: Mapping[str, object], config: SystemConfig
+    ) -> "SimulationResult":
+        """Rebuild a result from :meth:`record`'s fields under ``config``.
+
+        Raises :class:`StaleRecord` when the record's config digest is not
+        ``config``'s or its counters fail their digest.  A malformed record
+        raises ``KeyError``, ``TypeError`` or ``ValueError``.  The restored
+        result has ``elapsed_s`` 0.
+        """
+        if rec["config_sha"] != config_digest(config):
+            raise StaleRecord("config digest mismatch")
+        counters = Counters(**{k: int(v) for k, v in rec["counters"].items()})
+        if counters_digest(counters) != rec["counters_sha"]:
+            raise StaleRecord("counters digest mismatch")
+        return cls(
+            system=rec["system"],
+            benchmark=rec["benchmark"],
+            config=config,
+            counters=counters,
+            refs=int(rec["refs"]),
+            seed=int(rec["seed"]),
+            metrics=rec["metrics"],
+        )
 
     # ---- engine throughput ------------------------------------------------
 

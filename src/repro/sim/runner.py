@@ -105,8 +105,7 @@ def run_trace(
     ``profiler`` — an optional :class:`repro.obs.profile.StallProfiler` —
     enables per-reference stall attribution; with ``$REPRO_PROFILE`` set
     one is constructed automatically.  A profiled run's snapshot carries
-    the attribution under ``profile.*``/``hist.stall/*``/``series.profile/*``
-    keys.
+    the attribution under ``profile.*``/``series.profile/*`` keys.
     Every result carries a deterministic metrics snapshot either way.
     """
     if profiler is None and setting("REPRO_PROFILE"):

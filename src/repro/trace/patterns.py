@@ -79,8 +79,3 @@ def uniform_words(rng: np.random.Generator, region: Region, n: int) -> np.ndarra
     """``n`` uniformly random word addresses in the region."""
     words = rng.integers(0, region.n_words, size=n, dtype=np.int64)
     return region.start + words * WORD
-
-
-def tag_writes(n: int, write: bool) -> np.ndarray:
-    """A uniform write-flag array."""
-    return np.full(n, 1 if write else 0, dtype=np.uint8)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, JobSpecError, ServiceUnavailableError
+from repro.service import jobs as jobs_module
 from repro.service.app import ServiceApp
 from repro.service.jobs import Job, JobManager, JobSpec
 from repro.sim.runner import clear_trace_cache
@@ -98,6 +99,24 @@ class TestLifecycle:
             (manager.job_dir(job.id) / "job.json").read_text())
         assert on_disk["state"] == "done"
         assert on_disk["spec"]["systems"] == ["vb"]
+
+    def test_job_json_written_at_submit_and_terminal_state(
+        self, manager, monkeypatch
+    ):
+        # a restart re-queues a running job like a queued one, so the
+        # running transition is not written
+        states = []
+        write_json = jobs_module._write_json
+
+        def spy(path, payload):
+            if path.name == "job.json":
+                states.append(payload["state"])
+            write_json(path, payload)
+
+        monkeypatch.setattr(jobs_module, "_write_json", spy)
+        job = manager.submit(SPEC)
+        assert _wait(manager, job.id).state == "done"
+        assert states == ["queued", "done"]
 
     def test_manifest_written_with_cache_key(self, manager):
         job = manager.submit(SPEC)

@@ -3,6 +3,7 @@ bit-identically with a from-scratch run."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,14 @@ import pytest
 from repro.errors import CheckpointError
 from repro.sim.checkpoint import SweepJournal
 from repro.sim.parallel import RecoveryLog
-from repro.sim.runner import clear_trace_cache, resolve_sweep_configs, sweep
+from repro.sim.results import SimulationResult, StaleRecord
+from repro.sim.runner import (
+    clear_trace_cache,
+    resolve_sweep_configs,
+    simulate,
+    sweep,
+)
+from repro.system.builder import system_config
 
 SYSTEMS = ["base", "vb"]
 BENCHES = ["fft", "lu"]
@@ -95,6 +103,21 @@ class TestJournalRoundTrip:
             )
         assert "refs" in str(excinfo.value)
 
+    def test_version_one_run_dir_refuses_to_resume(self, tmp_path):
+        run = tmp_path / "run"
+        SweepJournal.open(
+            run, refs=REFS, seed=1, scale=SCALE,
+            systems=SYSTEMS, benchmarks=BENCHES,
+        ).close()
+        header = json.loads((run / "run.json").read_text())
+        header["journal_version"] = 1
+        (run / "run.json").write_text(json.dumps(header))
+        with pytest.raises(CheckpointError, match="journal_version"):
+            SweepJournal.open(
+                run, refs=REFS, seed=1, scale=SCALE,
+                systems=SYSTEMS, benchmarks=BENCHES,
+            )
+
     def test_unreadable_header_raises(self, tmp_path):
         run = tmp_path / "run"
         run.mkdir()
@@ -135,6 +158,19 @@ class TestJournalTolerance:
         assert journal.stale_records == 1
         assert len(restored) == len(results) - 1
 
+    def test_version_one_row_is_stale(self, tmp_path):
+        run, results = self._journalled_run(tmp_path)
+        journal_path = run / "journal.jsonl"
+        lines = journal_path.read_text().strip().splitlines()
+        rec = json.loads(lines[0])
+        rec["journal_version"] = 1
+        lines[0] = json.dumps(rec, sort_keys=True)
+        journal_path.write_text("\n".join(lines) + "\n")
+        journal = SweepJournal(run)
+        restored = journal.load(resolve_sweep_configs(SYSTEMS))
+        assert journal.stale_records == 1 and journal.torn_lines == 0
+        assert len(restored) == len(results) - 1
+
     def test_config_change_invalidates_records(self, tmp_path):
         run, results = self._journalled_run(tmp_path)
         journal = SweepJournal(run)
@@ -142,6 +178,27 @@ class TestJournalTolerance:
         restored = journal.load(changed)
         assert restored == {}
         assert journal.stale_records == len(results)
+
+
+class TestResultRecord:
+    """The record both the journal and the result store persist."""
+
+    def _record(self):
+        result = simulate("vb", "fft", refs=REFS, scale=SCALE)
+        return result, json.loads(json.dumps(result.record(SCALE)))
+
+    def test_record_restores_an_equal_result(self):
+        result, rec = self._record()
+        restored = SimulationResult.restore(rec, result.config)
+        assert restored == dataclasses.replace(result, elapsed_s=0.0)
+
+    def test_tampered_counters_and_other_config_refused(self):
+        result, rec = self._record()
+        with pytest.raises(StaleRecord, match="config digest"):
+            SimulationResult.restore(rec, system_config("base"))
+        rec["counters"]["reads"] += 1
+        with pytest.raises(StaleRecord, match="counters digest"):
+            SimulationResult.restore(rec, result.config)
 
 
 class TestResume:

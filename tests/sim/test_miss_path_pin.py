@@ -7,7 +7,9 @@ the full event stream (order and details included), the final machine
 state and the profiler snapshot.  The expected digests were computed
 before the miss path was specialised per organisation, so any change to
 what the miss path does, emits or attributes, including the order of two
-events, fails here.
+events, fails here.  They were regenerated once since, when the profiler
+snapshot lost its stall histograms: with the snapshot's ``histograms``
+section left out, all 144 digests were unchanged.
 
 The traces come from ``random.Random`` (the fuzzer's generators), not
 numpy, so the digests do not depend on the numpy release.
@@ -95,296 +97,296 @@ def test_cases_emit_every_event_kind():
     assert seen >= set(EVENT_KINDS), sorted(set(EVENT_KINDS) - seen)
 
 
-#: digests computed before the miss path was specialised per organisation
+#: digests of the pre-specialisation miss path (profile histograms since removed)
 PINNED = {
     "base/mesir/random_walk/1":
-        "7db0fe6ff1d790ecacda8d2d905a2d3f44ae9b824efef8bcb871194cf07cc7e4",
+        "40aa39e010f08d88dce9272f269066a35a5559c5fadc4ba4523b611caaa9c652",
     "base/mesir/random_walk/2":
-        "a37912fdd45fd7e1e3daf0a094e5a0ad00e84332003f3ceb5a38fbc69730a295",
+        "66b2618af5bbefb4379916a49b1b13d27c383ddbf9ce7c0bac52e9951993dc05",
     "base/mesir/random_walk/3":
-        "4bb13e94638668451f44be8eb641b6edc676396b382a4e636acee0ab368b1ac9",
+        "940f79656d2d08e693e3d0377e3ea6a3e1d81075fa1a41fd2ac5a6594004ba2a",
     "base/mesir/upgrade_race/1":
-        "67449a23d20d6e2415010ae81087aa461580920014ffff71c48b19fe3d42ff65",
+        "b251951702597ba83808d111e2f3d6ce5dbd12451f0eac43f4315b912d5bd7af",
     "base/mesir/upgrade_race/2":
-        "547de616b921c0ec44e7d961da12e8d51d22faa0de6ace78e8b656de4728a313",
+        "fb25cc29204b85dd7b463f551e9ec7e5acf6b24ac59f2ecf65a9a39cbb46f478",
     "base/mesir/upgrade_race/3":
-        "6994c8720679a311504d50a61e855fa813a7dedca16db2a099dd98a8889c10c5",
+        "a346686d9fc608e48dde79eb86291ef2a47894ef4b785bdd6c0058abb5ea93f7",
     "base/mesir/victim_storm/1":
-        "39d8a373ab4284ea727df12cef07645dd09c73aacd9176bed26fcbe6ef057b53",
+        "8b446ed0cd0a1c8bb411ec5e711fd034c869d58c60dae387f48a1198f8393242",
     "base/mesir/victim_storm/2":
-        "b955cddc14980ae849bda74dbb8f511f35b8187c675d90c2514ad1d2c6807d4e",
+        "bb629fdb6640d2f374c14fa35bc79baf1236f43b16dba981cd60156afd0f5b30",
     "base/mesir/victim_storm/3":
-        "46298fd95ea73e33c6a581045cbc876e3bb16eea293bca61edf113bf0ed1d8dd",
+        "bcb0f5bcd7ce6b0efbb7047462b7422309119c534c1d06051d9659185fcdda19",
     "base/mesir/relocation_edge/1":
-        "46db6820646ab53dd0d2209942768ce43e0da836149625bf3d6ae51ca1325f11",
+        "d721fe258c76b52284ba175c2f3acd05179a79f0ef0877da937281f84cfbecdc",
     "base/mesir/relocation_edge/2":
-        "23c3ae7c4e9947063458afa6f1a792aaf02c83b31c0b4b4be3d68ec558e0052a",
+        "79d1f93b9320091e0bf4f8282d7d523b149e86d62e1456f0ff1472dbd83425b8",
     "base/mesir/relocation_edge/3":
-        "2782e3d19f644a0165bbc5d71c975342255b368b9801e2c9b62d4780aa85c958",
+        "acf594e3c6f75b23ed644cf301f42eb450c292ca7f884463820c39e7634c9613",
     "nc/mesir/random_walk/1":
-        "59fcab002b02a52ad5e57c3f3626117d054823a1285f9938d69bf0d98eb8f0e4",
+        "eff481706aebbea03e8f5122732c53da1060a78bd1b317c648da7cf31e49c12d",
     "nc/mesir/random_walk/2":
-        "d51f7ae5f4e7851c7c693fbc4b4c7f81a529f5f9a290741b6642bdc739a90748",
+        "1243458c189f53640d4375e92c96038d2eacbb30ee01b6bb3d2d1b85f8561510",
     "nc/mesir/random_walk/3":
-        "559e945c652a810716e8644f343af498c4e98753e6adbe5f94c40e3788f173dd",
+        "aa94aac637b61a643bfaf0d4f95d7a9f983158c4bec7e5ebc4f448408908fbf7",
     "nc/mesir/upgrade_race/1":
-        "3cf4a96afab96d81f31a67943b39d841d346390c6dd67f5b4f2bc11c73d70afd",
+        "6e7a3892b0e5b8a461d94b5327c60cd4c3824ce494c5abfb1494af20ada2ef92",
     "nc/mesir/upgrade_race/2":
-        "26844901e378d296569b5587602435cb5eccd8be741c34b4630607c0398486a0",
+        "6cf578969c5f5eadb33bef909a10b47fbb2ba5ad5990b7b80b5db0d22d700fd2",
     "nc/mesir/upgrade_race/3":
-        "da5d08364cf78cf74d10be2782c26ba70e02550f7cb966162660068791348ed7",
+        "8c43a86e610b266e56f669ad11413c37e33af97a7b9c3b1c8f1633fd5f073768",
     "nc/mesir/victim_storm/1":
-        "db02e49854b9970403c5cc7796fbd734fe6b10d70732b8c6cdaa821cda720b04",
+        "ec3a404ca4ade09ad81a2323b17099cc7985979f8f2e198dea12915b7bfe8248",
     "nc/mesir/victim_storm/2":
-        "ff2956e8c743564116f69e978383d9977f27a4e0f7c9b504c0e074113890f661",
+        "c57d95536d641bad3b234968237651445d9ec39372e8dc1066334e3d03c77569",
     "nc/mesir/victim_storm/3":
-        "72f0b62aca38e22509cf809734817974a6cd2ae1dd6323890cfab32e8fba075b",
+        "309bd6814b5fc28098ff2a5a5b2626c18b93fa7676ca335761e8ff720f4866c2",
     "nc/mesir/relocation_edge/1":
-        "48af59dd0e5c06b2bd38909e56bf1cd1068150a2531b724ea7d8a6561c29bb8d",
+        "b1eae140ac944a3d9a1ec15505ce35c3f74c00d864f07ad8c14173f2d2cf18ab",
     "nc/mesir/relocation_edge/2":
-        "a34cd2e4e1522612d980bfb3c089fee5a41fb34290d5abb6b413a16ca0a76274",
+        "dce165063df7b5d8c9b16f6aae0f7c8e8260fd0cdb44008be61d8a5ff2f1ec24",
     "nc/mesir/relocation_edge/3":
-        "9b5cc3d78970b400694318e03c081d2d6ba202011e7927bf6406a1fd149e62ac",
+        "6e3054982bbda1d5d23e9ed8c40881d9868a3a6d0ee99507131e4759ca3a1a8a",
     "ncd/mesir/random_walk/1":
-        "55548a1285e8c925a1fe5664edec4d13950bf51f9a6d1122d5eb77e51508a2e3",
+        "1079559a430fe2b56c95bcfbbd49d1a804ef0149b959f6dd58f6dae1af653bb3",
     "ncd/mesir/random_walk/2":
-        "4463f39ccc6628eefe6c6a3bf55c95f4e5a7802d8905c0d65d653b0fd28bfad1",
+        "177db926072c6d686477bc29c618808f83dcdc876bcac4b775065696a3544e96",
     "ncd/mesir/random_walk/3":
-        "72b513225b1d5d9de7f005d6fb84acf6c95bf6f8d1cd29cb59d4f310706f9c06",
+        "bca8191970133ef00a53a915b1750e4b39af474524c01029c8a03a65d5dcfcac",
     "ncd/mesir/upgrade_race/1":
-        "926ac30114c457ad07b2c0a06702029032a5a7364b2931c66e57013c8f7da1e7",
+        "da896db761e777bb6bacf234fb1c91929c67c28754021ea8ba82d7a0fa254a7a",
     "ncd/mesir/upgrade_race/2":
-        "a100c21918e705d0b518d02b4b5b6fd0a0653f5ae94f7cbfce1c5a06f16f0e04",
+        "ec0502000493cf4ebab357473fc1b11dfea8a206cfeebeac96b5cd22f40c541a",
     "ncd/mesir/upgrade_race/3":
-        "ce7a06c98749f789fa61e42659d98e2e611f02a24dc93d55c168a19f81395aab",
+        "002603ab4ab3d0c614a2ba2ed20967077c215deb60ddca897503035b102dc021",
     "ncd/mesir/victim_storm/1":
-        "92e4a030a31cdfe4353a14f986d3cf056486f37073548b4e651a7385ba04414c",
+        "e047f0264e7f20e8fa6ac4c3f4545d4b4b59ef9c462c500a3dc5ab5078f4cba3",
     "ncd/mesir/victim_storm/2":
-        "c8dde0e418942e7c482764d225244a428251e9f72d7eeb9159905a030bd134b3",
+        "afbab89904d2179fa1b80196833ea67ecb4a1a34f6ee3d151f4ae8baba6bc1f8",
     "ncd/mesir/victim_storm/3":
-        "a118e31ba4d1051989831f1719ae3b1e3a819a520e6b0231ddddac1d45a356b7",
+        "dd552ea6f74e1cf71535bb3252f9ead8e2ee9699b2af9904daeac10d9c1f77da",
     "ncd/mesir/relocation_edge/1":
-        "6b04fc533973f7812db7ae8ca361ed8a9e32558b03b604c6e8836184194a5493",
+        "2313f769bc6700eef4ba93726ed21508d6877462672e7744a4e1a826a0b0cd63",
     "ncd/mesir/relocation_edge/2":
-        "c87e6f37bea66077bc152470a1c8113308aedd1e7ba8b331ad4113b6b7269bdf",
+        "79f4c5aac0018446cac4b174e92c22e42a94b3a6dc8e32c034c3519c6e9d4247",
     "ncd/mesir/relocation_edge/3":
-        "94c9ae80e1677c3c5bcca6fef4a06b820cbcaa4d6d7f8ed280b5d4cf47549582",
+        "6e7c0535b2f14a8a3d618c969337458a496c4f3b106dfafd746c90e41f2fd25a",
     "ncs/mesir/random_walk/1":
-        "ef0042d0a8091857d9c8734a364206358dd66b98459a101e840336c44f3a4d54",
+        "a728ae9c773bbbaec21ad350760e66132524f27bd2ab9e0e6214eabf4ae291a2",
     "ncs/mesir/random_walk/2":
-        "28afe2d358aae48700cb901d92e4b03aff5f075379444c35796e98144a4ed36c",
+        "79a99bd0ab49cf703c81e7c6ed6d85cb4abadd4f2cd9e6badc9facae92bb52e5",
     "ncs/mesir/random_walk/3":
-        "a4449f544588d237289133e5c4050087ac7ea39c85d5ef59340c07f22f7f013c",
+        "9099d4cf17788dcc92db65a4a37f7fce270021b6682816ef8a97bbc25a128169",
     "ncs/mesir/upgrade_race/1":
-        "f1f351b6449b1fe82de08abd997be2ccf4622e60bdfcfbb5199007aff17ac098",
+        "80c727562ee46159cc0a4bd677443cfcac543c4de3269799a8776a6badf6658c",
     "ncs/mesir/upgrade_race/2":
-        "fcae0dbb6b9f6f780fc80ddf4442de42ea3b2f26613daf6e99fdb554849108d8",
+        "02c1e5d07bb8659393006454e54728607dccf99259ac1eb2d996657a5aafed3e",
     "ncs/mesir/upgrade_race/3":
-        "3b1ceb4de96e02c76aa1873d4ad749e131b38dbfacc8e81d1f8a06957f291b4e",
+        "4be6eabfa0c822f95d22539a94190b640f6b4784a693c505a9d0abe24e856cb8",
     "ncs/mesir/victim_storm/1":
-        "cd0601888cdfa0279279223a2880f5eee52f4efb2dde562fcdc344a802fa74e6",
+        "bda1518bc4300f3d65207891b907c26280771b32c5300dab2fbebc0d9a2c5dfb",
     "ncs/mesir/victim_storm/2":
-        "d6f1feeca8c7f42d820c01b259a6885b6f737c76e207a134ec8729b2e54a9962",
+        "8f89e82256e4ee8332b078b77c9b39ee20b63c9384de9ac118b450b02c49abec",
     "ncs/mesir/victim_storm/3":
-        "8a4bd68af377a7840d32e798c615a255dae578b0a638e9ee674d1b01d362750c",
+        "695781b90503ba09ccf900b44925498e56dfa9d11863c05f5dc8db8bae7b6c8e",
     "ncs/mesir/relocation_edge/1":
-        "b1bcffaa16aeb85ad18a053c200e0000df903a9b08d31e08b11966ad5dfbf823",
+        "c52947142cec7f6e96f496cfe30a26051b6221c17eb4135d7ecb59d21382c07f",
     "ncs/mesir/relocation_edge/2":
-        "0ab115a4fe21f2b7ce6a288150d52b3175bbf5b9595f03fc57f40e5a273b9a83",
+        "b54ae40f86921ff62131bfd6c66464cf1de553ae3d0473417d251a9713950eba",
     "ncs/mesir/relocation_edge/3":
-        "7e783ee0f36a9dac0337b2c5cc4a69251b32caaa646c0908e1343aa48c2dcf10",
+        "62af1d2c68f0b981dc1721c5f4859aefbb40cfc8e6227ec710c5e780f42ab622",
     "vb/mesir/random_walk/1":
-        "d6738e9dd8b3da51599bb002bca45a6f5cddbdd17375463e7efd4d1b65e4d7c8",
+        "4cd85f17d58f27d1498d305390f53e2a09fc2d89066df1bf9867901f3e84e899",
     "vb/mesir/random_walk/2":
-        "808e19611ad4acc7f3cba75c71e2f94655a75d90669a610ccae8ebed58a0d598",
+        "3a849c09fa3b3bb646f0a6ef00162976c7504f05ecb459bb115908b6f959c0da",
     "vb/mesir/random_walk/3":
-        "f33c529ef692c3588d539f28fd18bf6e78073251c0651e87598a3ba6626267d7",
+        "8ef38ff65a5779180769b303c0a50a0bbb4ba8551774df594c0bd8224f12dac0",
     "vb/mesir/upgrade_race/1":
-        "df18889a306755988a0d27e87987d834935229d7ff15b3b77623404abb050371",
+        "717994e2f0955e904301504021b33462365ddf0b7b71b276caa1e7e871326906",
     "vb/mesir/upgrade_race/2":
-        "1474f4a95e1e5049b44add5aa1bb33b3cb8a75d30987517925b609e508fa4937",
+        "ec0903a0eb07d3138e40793ac5cf9582f4c1bdae45a37b3d87b7c888e6c4e43b",
     "vb/mesir/upgrade_race/3":
-        "de27bbd98224863e8b2dfb717de0ac4910da7f544c9e3d9ed6254b39ca0a6158",
+        "fe5b13d0313b8bec4d396d01ab2deab575a234fea601a2cbafce49aa6fd5535c",
     "vb/mesir/victim_storm/1":
-        "55b826e0992ce5dc6addedc2d228f50e1682eaa600ac83031eaf7b34886be5d4",
+        "f516378771e77df3bdcd8f79e06dc0764331c790ec61efc7b0297fc3ebe90375",
     "vb/mesir/victim_storm/2":
-        "da54b6e0474e5ad993babdbbbc4a53f2058c1d91d3646d236847b3eebe775829",
+        "bb3bed199c6a594abae62b91efe64562bb21b4b9753db532d7938f9622cfe673",
     "vb/mesir/victim_storm/3":
-        "c8b60cbcffe9d87dc1abde4ef5195651cb638b119349a939b062123f8d925183",
+        "4a241ff3f3ce21251ebb37bee6572b4cf0052c8692748f71f6e20db7ba0b577f",
     "vb/mesir/relocation_edge/1":
-        "efd3bef1a2b87bf7ec7f02e053d2efbb906780ed359fea1c3f2c1b607020a15b",
+        "e372f39157a282495fc6d8dd3c51d4f4003d6702cfba0d3bf8b9524729ae6f3b",
     "vb/mesir/relocation_edge/2":
-        "dca00c58346af056850de8123ba77865d709d8426035f896b679f0bbeca1ffd8",
+        "87e988f5cd7d2b486d178089c7e76c4465be9bc4ae8ba154d9832591785a806b",
     "vb/mesir/relocation_edge/3":
-        "a8a3716479b64777e08d42d309ea326e93bced7bd04d264c71a61b8bf2228df9",
+        "a88105c6dc90cd516f573b3a1a2ee78ae499446f86f82d93aec28630a2788dbe",
     "vp/mesir/random_walk/1":
-        "37420e6ff5cdaa6c9e918fe8d99646003ec3b70c16281906bfe691b7c42e0faa",
+        "18c46b79fe3bc2c569a1ff70f594224c23bb6ae4564c70c4dfdc0433aba74069",
     "vp/mesir/random_walk/2":
-        "62a3b452989306bb82f4c92345c7fd76b23adc2ebec3ccfc0d26ab78237089f1",
+        "1dd425f4503c2c8b86533758c85e068a7f4adccd4a699c57e14198dfb5bc3973",
     "vp/mesir/random_walk/3":
-        "d1d8716184371ec66b6ce8524d1f0a154a9dc8784533c49ac1a48afbf58bc2e2",
+        "2e32009b4bfb7eb035dfcc231e6bbac4919342b349c07c59c79c6876689f1380",
     "vp/mesir/upgrade_race/1":
-        "95bba2ecf7f21eb06876d0a8b089cd38b59b0e8d8d65678ff25e27d1e1ea8af3",
+        "c48421782c4a94f1fd821132af14b3900bd294d99d3ee08fd4d27126e6381eac",
     "vp/mesir/upgrade_race/2":
-        "caca755f8dcf34e132fdd4d3940ac61d16ddbea4455a373b207170417b67a58a",
+        "b8846fc147f5acfb94487796e3e9c424cce1d4b9817795cc05c75ce258aa0edb",
     "vp/mesir/upgrade_race/3":
-        "8eed59921a34d1529f34ecd6dc8dae20d8499c0bb8cc4de988095e3573473943",
+        "b2a58ded806eafe6f2ee0c264e18ac4c2675f41b589276a3cd36c61ca0e4ebd7",
     "vp/mesir/victim_storm/1":
-        "1ea02bb26273d3419fe271b8673bee58d29c41ef0a5fc1a1a1792b80c3e9498e",
+        "4e551b5f0d323a313495f1d6c5d1bc50e3aaf1142b8a4844a28dd3c43874bb34",
     "vp/mesir/victim_storm/2":
-        "ca0ba64193ad7e615c66d718366f294afce0bea228bd62fc811d2b3b6260a08a",
+        "0da12a7b446bcdbea3658ee4d3191d03dfdacf10627ffd74d4559504b729ded5",
     "vp/mesir/victim_storm/3":
-        "96a585c4929191c751a1cb5023d8aa5935aa0de2630b7cc307970e6442839cb9",
+        "38378afde04bc5ef0e19535ec8be1ad9a0994e956b02f7befb77a182ff9f50e6",
     "vp/mesir/relocation_edge/1":
-        "590a5a62689654b4e5cd308b1036d7344e0365786d1911e055b3b5b670d5a306",
+        "d6ec52a5c03d789cb5279f7c790fcccdfe3f24d8839391e02961e9e0076675cd",
     "vp/mesir/relocation_edge/2":
-        "da1566384dc98e5f16a913639516d7deacb743fbae8be707d9b4af8ba879c508",
+        "cddb2258dc915b90e3c8428e18555ed6d79d7b8671c3133e8b3397d710960591",
     "vp/mesir/relocation_edge/3":
-        "aaf03cf7e84b187ed701dcba66437788ee70d38f676689ef2480cafdf6e559d6",
+        "c2105e4567a166fe2ef89d26a45f29f16cdd62df0c7779cfac22fc79eb6a8796",
     "p2/mesir/random_walk/1":
-        "a5991779c5a14cb1c4c746abf0dc8637ae8a8e34bfc579ec55c3bcee8aea832c",
+        "80432a0035c2061c4ee9b3fcbbd031e7f551a41f4d07af5f78d8ffe6837c1044",
     "p2/mesir/random_walk/2":
-        "6ccfffd2adc9257b6d483b0e470dd3ca54ff9320588b08a3cc99583b35767b4d",
+        "9da5bebfbea622bd892ed4385d5f5fc3229a80b49d9b0b49b0f3a5ad81ab75d4",
     "p2/mesir/random_walk/3":
-        "5948701ad60b32c98e66dd0516d67e0d5450d88ccd7c36b4fc09aaa63bb83557",
+        "34150671e935cad4f3495128e06f894c53d9478e10e820781c0d0537ddd011f2",
     "p2/mesir/upgrade_race/1":
-        "f20d28c2ce87ad06e14da30f6dc8b7384813346ce75f7c0d3f17bf451e3c05bc",
+        "97edcc607ee4a687b91ea6ca75d70982fdaa3b4e2b2014717ed0b5ede8e13359",
     "p2/mesir/upgrade_race/2":
-        "6dce114af7522975e541282d68dc11c4613b65019f98508def9c93a836a77cf2",
+        "49f2e0b9e7988624c8b7980004c629c005ebda9aeebd5363ed7ffe14ff880ed7",
     "p2/mesir/upgrade_race/3":
-        "71e8585143401f377d60f38c99647a437609894892f0c70b51c287d8e798aea9",
+        "ebfd8bd1d0d49d452b2236222a8e542f08fcaccae8ac6a193455e307bf2642f2",
     "p2/mesir/victim_storm/1":
-        "2ab694469b9865bc645e78d646439e50cd2d9e20967c97621485c6a3689aa559",
+        "c44a49a6b83a2642f4cb2ef5d45ad8ab83b01649056ed4b16605d663579fbb58",
     "p2/mesir/victim_storm/2":
-        "62a90fb715377d80b09c2e34f2d0fce3a908b1289184b473dba18167326af0b8",
+        "5d5e151e6c6b15fffc43b43075eb4518e3390d54dc62d598351fbb3950820ef8",
     "p2/mesir/victim_storm/3":
-        "64795797901dd6e1dd306aa7d70b0810b3e9e0fb6667794a0b376e2dfc9bb8a5",
+        "f5d3fedeb7bc1b6e0d18165ee06e21961c53c703fadf01b6d3ac4d5d5cc74077",
     "p2/mesir/relocation_edge/1":
-        "f6865a17a5d6d6900d4add6356e93ae4ebd78436b962c093eb78e82195b14a2c",
+        "bd8be37a584ff65d963c7e6e8d523578b49b3b64fa636171320c505ce1a9fcad",
     "p2/mesir/relocation_edge/2":
-        "45f70e59396deb6b7452ebac40f3f1775e5ae098fc036eea1e1924338512884f",
+        "c6456b68f34aad20bd37ce73655c5ef6709eb675963823875ff260aeba7282d7",
     "p2/mesir/relocation_edge/3":
-        "576288033424d7866e937d74fa792dae3fed84148e8f53f47ada3f1d7c2d7e46",
+        "d74985a00ab4625eb0b4e3e0fea769947145958918ea9b3189fb7824f1e8d726",
     "vbp2/mesir/random_walk/1":
-        "2fd7c15244b117def4e2b28213c9c211510666d02aa6681335fd699be6ec47b7",
+        "aab06c98f4a3eb050aa0a3dcacacbf113ba00a252a4041701604f81c8017e09b",
     "vbp2/mesir/random_walk/2":
-        "40d4d5772f8927fb351591dfee87ffb122badc282bd7376bdbfbccfe21ea7534",
+        "37bd7c83b1f72fbb57ded7d414c819c2366bcd4296f3124471dc205cc8f0c37c",
     "vbp2/mesir/random_walk/3":
-        "dd04b46d678cfd1005f8c1d207620e98070042ec5929abaa1f13d825e522f353",
+        "a6aec24a163425157b35d989b1170a6e91cd82d64adfdc296e1f52fd9cb8ddb6",
     "vbp2/mesir/upgrade_race/1":
-        "1d2f42aff732e309d1b434936afcb9291b7d6d3e5b50dd2a044a45cc000c76ea",
+        "1081a4324c96d0024b759eeecdc2b706676ceb40bd094b3cf3fbf53f70a1ac8f",
     "vbp2/mesir/upgrade_race/2":
-        "b7185e7e173a9add9c5bf809cfa76277093bfebcc5d9f00b38510f39988b025f",
+        "1e263d8ba83afd16b7bd503f9bb0d2317d559f911c14fca5314e46df86f3adc8",
     "vbp2/mesir/upgrade_race/3":
-        "d0fb67b7a6efa94f4c67a3ac3f61957b25d96162267b6c4376322ec5e6069992",
+        "3b482708216ff6b46a2bcb415c797cadf7ca13f268dbba55349678ff1dc4f730",
     "vbp2/mesir/victim_storm/1":
-        "39ce2de6fdbcd49783e1976b2ca573009f7613a8043cfda48f2af1ce68253daf",
+        "3320f0b34af014506f60a896ecf14b7e47a92a0f6ba91765dda517ddb1389bf9",
     "vbp2/mesir/victim_storm/2":
-        "0369f499aac43cee8237ccba9ba604c9113cb5c0f8b5cceb7a18f9e070481105",
+        "6112571cb6bb3d99995d9250a11dd0b177cfa5a86c605884b7872decb9c3b380",
     "vbp2/mesir/victim_storm/3":
-        "394fcf1a13812a22cffc4b9a818c72eef333e3bf43633709b6aa4d801fd73584",
+        "87af2a54782a1e247206c1ca2d4faddf0e76079b7c8e47673b31be655f1e92c6",
     "vbp2/mesir/relocation_edge/1":
-        "50e7cfe854003a38bed5793932b415af4186deb5acc4116fb957e0bfa11b7cf0",
+        "e37b62929fa14cb6e7ce9c2a250eac22098e168d861f459eb1c8ca44b15d163b",
     "vbp2/mesir/relocation_edge/2":
-        "05326aa838c3216041b30ee4f50ed22a51f97b0248f9193ecb3b1548fd06f89f",
+        "1b80826ee872d4affb403a22902d011148a1a178c72361fc7665f16154031df5",
     "vbp2/mesir/relocation_edge/3":
-        "27f061e82d76b6b99dc74a9695807e4875ef6ae7a9464e39693424a00503e09e",
+        "671aef1355825914b33921410f7f14652453dc899724b9ab2cc91edb41cd3761",
     "vxp2/mesir/random_walk/1":
-        "99d72339674e9aa2d659f6f6292a7848b0ccc74f3b5ef273f4a5bd27c919169c",
+        "e5a6765103a96fc29f3928bf17eb00b909166b3546b958f1e6069d056349003b",
     "vxp2/mesir/random_walk/2":
-        "0db74bc45693d866ec613a7cbce6e99fe7105be42153dc725113be32a3c0a454",
+        "5482a6d1c84e943a992c144f1bde02364cf50b160fa9613eaaa49ecaa6ee58bd",
     "vxp2/mesir/random_walk/3":
-        "7767b077f28c3e0cbe596169320803658bfe17684bed026bbd98955609591472",
+        "069dfed8aeec7b24221cae2c9842ed945ca99ded73bdcfc946717f9df163a982",
     "vxp2/mesir/upgrade_race/1":
-        "1dc528c0e108302f16afdcb0477b8b93cdc94bdc582988ba9ec8da1b69c3fbb8",
+        "9c4b8afbddd930932e95e4a1cf061f82544ae4f1386e3910c84ed13bc1132199",
     "vxp2/mesir/upgrade_race/2":
-        "5ea784679315a4422bee209ea094cf39b5b06003bb189195a6ed51a5c62550cd",
+        "463cce1bbd9e90fc4533535100d981c1ef6ec19840eabd2e588913d9d81fae78",
     "vxp2/mesir/upgrade_race/3":
-        "5c48a3539fa71c0d3664e2094865c2d6460672af522c6bb191080f3701aed86e",
+        "e0a25f8df125401fd405b2e903079124783ffa03e07157f3a7c39eb6f329b3aa",
     "vxp2/mesir/victim_storm/1":
-        "cf68ae0e8f197b106c98f0b315a3ec6be6b7909c1abc32ca12aceda0c82fc0f7",
+        "d6ade8174786ab722d75877e6c511c492024b940c7657d88ce25e37dac1121b5",
     "vxp2/mesir/victim_storm/2":
-        "8ed5fa7a3f8b5db6ce3b0d8bf0a3988cdaefe03890261fecbfc0caaf5c6aed1d",
+        "e21f0e7b09987084cd31758e3aade52c214f10ed51964941bb442c8a6d73f1f9",
     "vxp2/mesir/victim_storm/3":
-        "b4552f19e21c7bea95b2907bfb37c7487b1b6564391338d8d732edd36719ac09",
+        "f0a336c7273575124d28bfaca302ceab46cfc3900bc6448f0a0b6f6fd8a1efe2",
     "vxp2/mesir/relocation_edge/1":
-        "6aecc2ede25b2df10bb0256a6430d60b40197a68abef624f81f7723617ee283d",
+        "3195734f537e7644270dccbddf894388f563e1dde3e233fc253a88e86e55d88e",
     "vxp2/mesir/relocation_edge/2":
-        "03a43b568310ff5e3aad1a3ed184f1b655644baad7742db227c3473ba9462959",
+        "a6312e00c0f9b0bbf26bdd0555d170a3be46c65ce8823870ab64ff262df9963c",
     "vxp2/mesir/relocation_edge/3":
-        "451538b44a1d7d9e1308cd9784dc37f65a2e28f8e4d73b8ab25937c332999c68",
+        "a4e03e3b2ac427e6d249ad9121e5e24c6eb2e53e98c67fef98327ab2f4865a18",
     "nc/moesir/random_walk/1":
-        "71128dc15d162e4072f94cb6f3ac13eac32b183579de4ecec867a9b348cddd28",
+        "2e08b3b50c9b0fc14ec5ddd946d00c024415de695c36b7cf0d8fc2a7fdd30fca",
     "nc/moesir/random_walk/2":
-        "e00ba7baee6b0461a65e46c79951dfca6500dcf0afee80d58dc4488062af2092",
+        "b6dba676b1e49be3ab053c7c84dfc7463e1a268f5ab498a9a91c3a4e58ec2231",
     "nc/moesir/random_walk/3":
-        "c24e40535bca8b124cf555fec77c2c8231e89a3a0f9f8cab0354598977a84ac8",
+        "fce86f610ca418214c8a0105d7a7bce76c4e4f0fd274385231da0e361d430b41",
     "nc/moesir/upgrade_race/1":
-        "394c4097c552ad8d263f022e48e44b723d198f46421f3da27d2f92ba6a79425d",
+        "89079f27de035f3e9818eac9d6b5ee96231d07941d1b0e26d51ca0b628c924dd",
     "nc/moesir/upgrade_race/2":
-        "0c78ac85e7c046f9fa1f1e970b64ae3ade8a03bcf8b213df2cfed746d53a4338",
+        "3b41ed194d631ee8918326ac3659ce4bf112a83c156217b1ef8e3c78bfb97b4b",
     "nc/moesir/upgrade_race/3":
-        "0dc3485c0ca07fe4fda4cf72eada97e7c4bdd24bb5a5a0ee11910ade5e844b34",
+        "b5657a7277e9e9672a86429b84fcf6f7ef669ff435dfe7b6da3c555262cc1735",
     "nc/moesir/victim_storm/1":
-        "86ba215f2cc0bf54e64820732c5a98fa601669cddea07f84ff9c084838b6b8da",
+        "f39f084a88c4b18f1c508401d6fd07b1475e3bd8c427986da56d20c8b8b98768",
     "nc/moesir/victim_storm/2":
-        "45551dc5a0dfb44d5849430ad54d61775db8477836c1e9e3e607a2c8a6603e67",
+        "574068696d6f8979b133069229739034e18a1883bd73971210471fdf0fc7f3b0",
     "nc/moesir/victim_storm/3":
-        "353cbf612c67c5492a270cdbf1a4a9fedddedd8b29ad1a263d9fe787f8f03fda",
+        "e55da21d26c5dae3af311f7081c23aa3c17c939c7100c0558e40fd64fbe9ccd7",
     "nc/moesir/relocation_edge/1":
-        "25d8e6b77c2834fa1273d86962ee1fa0719d5ee4133e237637af33e979520143",
+        "a9f835b76c1b1668f3c866729087307a6c0971c77103b023c5248970fb1b7b65",
     "nc/moesir/relocation_edge/2":
-        "e3babfb62de9c58b3f1ba953bc9e9e8ce247d7d9310aa97a08d2e6422fa49b2d",
+        "5fca0a9550e40a0a2f3f5ef7bf1ab7e761158fc28140fd2aa93d9792edbe150c",
     "nc/moesir/relocation_edge/3":
-        "b6da1fc8094be8b312f14fde0172f22cd8e35a9ba2f297fd401ee98a571ff870",
+        "da61c2cd3199750d0d0e585e9e7c2534cc43c22ed3fbbdbc74397ba7055d1aba",
     "vb/moesir/random_walk/1":
-        "75fba20cdbb842b20ba37cb2ad94068c6d38c1360b5c0e2f43fdd6571f239850",
+        "68773201056a48595b7b109d5c813fc5a1187d7b20b761d9687877bbc918388d",
     "vb/moesir/random_walk/2":
-        "36cb0add5712367bed94a578ed8af9043fcb10242bee78801a104c6d36c74eeb",
+        "345bc081bb95098b11c928b8413bb9f856cec99eddbb9a8f6cba8d9e0e99d47a",
     "vb/moesir/random_walk/3":
-        "7e103f841a2b11501389e9b426b0ddaa90801560c0a0bd372de28d0ff987a053",
+        "78590792affbf3164ef061813d5af10c6e9764730b66c7ab8e7e54e3bbb8a505",
     "vb/moesir/upgrade_race/1":
-        "3c1ad8033df50e9bfa27874d0b74a9c72325215f421f833b4a9ba48e8eff10f1",
+        "0ace11384d86d2030ac5aa0220817333aebc075176366a292522a25e634c020d",
     "vb/moesir/upgrade_race/2":
-        "66b0af8144c977b26bcd0eb962c6298837762d7132c064fdfe5401a37c391dea",
+        "2b1ff31f0e7ed694833f23757cdd87daf52234fe7a891205b0e0170e7751808b",
     "vb/moesir/upgrade_race/3":
-        "bedbff38d486c7df8b9df57abd83b4dbfbf068ef8eb572e1c6b7b6097b601ad4",
+        "92d5b266c91dfae47723068d19e4dfa3aadfa274ef2476b329be1d0e972153a3",
     "vb/moesir/victim_storm/1":
-        "9fa66ece5a92bbe39d520fd4a5cd7afe8f3ca5db13933987f854449c42136887",
+        "4d229e63b2dc69149d838d907096680088588fc511011beaec0059f5f6e9d53b",
     "vb/moesir/victim_storm/2":
-        "da54b6e0474e5ad993babdbbbc4a53f2058c1d91d3646d236847b3eebe775829",
+        "bb3bed199c6a594abae62b91efe64562bb21b4b9753db532d7938f9622cfe673",
     "vb/moesir/victim_storm/3":
-        "0529b5dd2fe91c48b2a80d0d7383dcea25adf71f1a828717055ee6f06c168372",
+        "f7217ebe400bc06d3f16966f07ce6d5676c4676a5f1a499e80af060bf5713761",
     "vb/moesir/relocation_edge/1":
-        "15fb420b11a88f2ca9cbf4ee35199125ae7720247b97d4ad534a07a301892447",
+        "6bda90ed1430d2cf4af50fe86c114ba9bcdc3585d49e3465abbde73eb16fac89",
     "vb/moesir/relocation_edge/2":
-        "19f21de02976ca38200761350a33e1e2d503698a00004202bd5e47d3f2fc3b26",
+        "c1fee5b6f9407fbcd772e14216457e00e3622865b4ef5afd1dc78b314ab5f116",
     "vb/moesir/relocation_edge/3":
-        "828a6329a537e71c4f75ce133cc7647ee98309570880c9a4f34edddfee8bbcc6",
+        "af28245f63d2edd6b21a641c5df75117f2f052aec265abb1be5e7943651f5451",
     "vxp2/moesir/random_walk/1":
-        "99d72339674e9aa2d659f6f6292a7848b0ccc74f3b5ef273f4a5bd27c919169c",
+        "e5a6765103a96fc29f3928bf17eb00b909166b3546b958f1e6069d056349003b",
     "vxp2/moesir/random_walk/2":
-        "0db74bc45693d866ec613a7cbce6e99fe7105be42153dc725113be32a3c0a454",
+        "5482a6d1c84e943a992c144f1bde02364cf50b160fa9613eaaa49ecaa6ee58bd",
     "vxp2/moesir/random_walk/3":
-        "125632140177e97c78fc7430d9a97ce4184a218bd4b91f67eb394a07f83dad90",
+        "3ca24e3b97703ec4f407fc8b8ca819d8f492e07ef3e41f147d98315559b56223",
     "vxp2/moesir/upgrade_race/1":
-        "a0703b04f7800747e3f797e48799d381aaba57f53ef7078c9ddd828bc3801024",
+        "5ead0a4729b3589813fcc6879d5c3f21b67178257ad1343ee5495b7fc6371c50",
     "vxp2/moesir/upgrade_race/2":
-        "ebd6e9c09ab3444ef8cc0521aa67a1d38371b7ab67311c39e50e9d02303a9713",
+        "a5a689ade91d5eb5eb8f486e2d0de98f9692cdc58b4fe372e7c1eeec142e3338",
     "vxp2/moesir/upgrade_race/3":
-        "dfe3ab01c9c1490e5391170db2a142dbb69abe0a99c99b9042baa7efb3fb51ca",
+        "9f437751d9082c65b12b4b74f6f9576fe968db152588d7ca21df47a43fcb9f64",
     "vxp2/moesir/victim_storm/1":
-        "4316efc0e61a1b7cc8b73223530db9c6817c4b9db93e4ab6b9170ab5455d34fa",
+        "d6990231c4a5ee70c55af0ffe5f4afd865f64bf1c24e9b79113087019b374e59",
     "vxp2/moesir/victim_storm/2":
-        "8ed5fa7a3f8b5db6ce3b0d8bf0a3988cdaefe03890261fecbfc0caaf5c6aed1d",
+        "e21f0e7b09987084cd31758e3aade52c214f10ed51964941bb442c8a6d73f1f9",
     "vxp2/moesir/victim_storm/3":
-        "b4552f19e21c7bea95b2907bfb37c7487b1b6564391338d8d732edd36719ac09",
+        "f0a336c7273575124d28bfaca302ceab46cfc3900bc6448f0a0b6f6fd8a1efe2",
     "vxp2/moesir/relocation_edge/1":
-        "2bea67567475b906c09a54a09c731c1435c524f86e5589732af550fa50a79886",
+        "f7996bef5d2f9d26727e0d6412018ef4c670715ab155c28bf4763455eb008f72",
     "vxp2/moesir/relocation_edge/2":
-        "972e84f281b466513d337d5f63af9b89e98630e60548f56b24e1eaf237386c43",
+        "47dbfef96872fff3506cf7bb3939fcaf595221fb3c0942a4b75edcaf8ed6a1a4",
     "vxp2/moesir/relocation_edge/3":
-        "606ba44e24f0718c7c36361d758b6e6f16169283ba92fed13f58d7b8dd1c0e92",
+        "3f9de359ecc5ae8989285b819e3c43f893077fa03fc31a2bdc859ee9eb3faeaf",
 }
 
 

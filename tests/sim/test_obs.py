@@ -32,6 +32,8 @@ from repro.obs.metrics import (
     aggregate_metrics,
     merge_snapshots,
 )
+from repro.obs.registry import WallClockRegistry
+from repro.sim import runner
 from repro.sim.parallel import sweep_metrics, timed_sweep
 from repro.sim.runner import (
     clear_trace_cache,
@@ -294,8 +296,18 @@ class TestMetricsRegistry:
         h = Histogram((0.0, 1.0))
         for v in (-1.0, 0.0, 0.5, 1.0, 99.0):
             h.record(v)
-        # bisect_right: a value equal to a bound falls in the next bucket
-        assert h.counts == [1, 2, 2] and h.total == 5
+        # upper-inclusive: a value equal to a bound falls in that bucket
+        assert h.counts == [2, 2, 1] and h.total == 5
+
+    def test_both_registries_bucket_a_bound_alike(self):
+        bounds = (0.0, 1.0, 2.5, 10.0)
+        for value in (-1.0, *bounds, 3.0, 11.0):
+            hist = Histogram(bounds)
+            hist.record(value)
+            wall = WallClockRegistry()
+            wall.observe("h_seconds", value, buckets=bounds)
+            ((_, series),) = wall.snapshot()["histograms"]["h_seconds"]["series"]
+            assert series["counts"] == hist.counts, value
 
 
 class TestRunMetrics:
@@ -324,6 +336,24 @@ class TestRunMetrics:
         n_sets = r.config.nc.size // r.config.block_size // r.config.nc.assoc
         # one sample per NC set per cluster
         assert sum(hist["counts"]) == n_sets * r.config.n_nodes
+
+    def test_nc_occupancy_buckets_are_exact_line_counts(self, monkeypatch):
+        occupancies = []
+        run_metrics = runner.run_metrics
+
+        def spy(counters, machine, tracer=None):
+            for node in machine.nodes:
+                occupancies.extend(node.nc.set_occupancies())
+            return run_metrics(counters, machine, tracer=tracer)
+
+        monkeypatch.setattr(runner, "run_metrics", spy)
+        r = simulate("vb", "radix", refs=20_000)
+        expected = [0] * 5  # 0, 1, 2, 3 and 4+ lines
+        for occ in occupancies:
+            expected[min(occ, 4)] += 1
+        assert expected[0] > 0  # the radix run leaves some sets empty
+        hist = r.metrics["histograms"]["hist.nc_set_occupancy"]
+        assert hist["counts"] == expected
 
 
 class TestSweepAggregation:
