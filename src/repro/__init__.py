@@ -57,6 +57,7 @@ from .obs.profile import (
     stall_breakdown,
 )
 from .obs.timeline import export_chrome_trace, validate_chrome_trace
+from .analysis.report import throughput_report
 from .sim.checkpoint import SweepJournal
 from .sim.parallel import (
     RecoveryLog,
@@ -65,7 +66,6 @@ from .sim.parallel import (
     resolve_policy,
     run_parallel_sweep,
     sweep_metrics,
-    throughput_report,
     timed_sweep,
 )
 from .sim.results import SimulationResult

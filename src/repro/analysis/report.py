@@ -2,12 +2,16 @@
 
 Every experiment driver renders its output through these formatters, so a
 bench run prints the same rows/series the paper reports (benchmarks down,
-systems/configurations across).
+systems/configurations across).  ``repro perf`` renders a sweep's engine
+throughput through :func:`throughput_report` and :func:`perf_json`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from ..sim.results import SimulationResult
 
 
 def format_grid(
@@ -169,3 +173,123 @@ def format_stall_breakdown(
         lines.append(f"{r:12s}" + "".join(cells))
     lines.append("(Eq. 1 cycles per component, share of the row total in parens)")
     return "\n".join(lines)
+
+
+def per_benchmark_throughput(
+    results: Mapping[Tuple[str, str], SimulationResult],
+) -> "OrderedDict[str, Dict[str, float]]":
+    """Aggregate engine throughput per benchmark, in results order.
+
+    Each entry: ``{"refs": total simulated refs, "elapsed_s": engine
+    seconds, "refs_per_sec": aggregate rate, "cells": cell count}``.
+    """
+    out: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
+    for (_system, bench), r in results.items():
+        agg = out.setdefault(
+            bench, {"refs": 0.0, "elapsed_s": 0.0, "refs_per_sec": 0.0, "cells": 0.0}
+        )
+        agg["refs"] += r.refs
+        agg["elapsed_s"] += r.elapsed_s
+        agg["cells"] += 1
+    for agg in out.values():
+        agg["refs_per_sec"] = (
+            agg["refs"] / agg["elapsed_s"] if agg["elapsed_s"] > 0 else 0.0
+        )
+    return out
+
+
+def throughput_report(
+    results: Mapping[Tuple[str, str], SimulationResult],
+    wall_s: Optional[float] = None,
+    jobs: int = 1,
+) -> str:
+    """Human-readable engine throughput report for one sweep.
+
+    Per-cell simulated references, engine seconds, and refs/sec; a
+    per-benchmark aggregate block; and the sweep total — the number CI
+    tracks for hot-path regressions.
+    """
+    lines = ["engine throughput report", "=" * 24]
+    lines.append(f"{'system':<8} {'benchmark':<10} {'refs':>9} {'secs':>8} {'refs/s':>11}")
+    total_refs = 0
+    total_elapsed = 0.0
+    for (system, bench), r in results.items():
+        total_refs += r.refs
+        total_elapsed += r.elapsed_s
+        lines.append(
+            f"{system:<8} {bench:<10} {r.refs:>9,} {r.elapsed_s:>8.3f} "
+            f"{r.refs_per_sec:>11,.0f}"
+        )
+    per_bench = per_benchmark_throughput(results)
+    if len(per_bench) > 1 or any(a["cells"] > 1 for a in per_bench.values()):
+        lines.append("-" * 50)
+        lines.append("per benchmark:")
+        for bench, agg in per_bench.items():
+            lines.append(
+                f"{'':<8} {bench:<10} {int(agg['refs']):>9,} "
+                f"{agg['elapsed_s']:>8.3f} {agg['refs_per_sec']:>11,.0f}"
+                f"  ({int(agg['cells'])} cells)"
+            )
+    agg_rate = total_refs / total_elapsed if total_elapsed > 0 else 0.0
+    lines.append("-" * 50)
+    lines.append(
+        f"{'total':<8} {'':<10} {total_refs:>9,} {total_elapsed:>8.3f} {agg_rate:>11,.0f}"
+    )
+    if wall_s is not None and wall_s > 0:
+        lines.append(
+            f"wall-clock {wall_s:.3f}s with jobs={jobs} "
+            f"({total_refs / wall_s:,.0f} refs/s end-to-end, "
+            f"speedup x{total_elapsed / wall_s:.2f} over engine time)"
+        )
+    return "\n".join(lines)
+
+
+def perf_json(
+    results: Mapping[Tuple[str, str], SimulationResult],
+    wall_s: Optional[float] = None,
+    jobs: int = 1,
+) -> Dict[str, object]:
+    """Machine-readable throughput payload for ``repro perf --json``.
+
+    The shape matches what ``scripts/check_bench_regression.py`` consumes
+    from pytest-benchmark (``benchmarks[].extra_info.refs_per_sec``), so
+    one gate script handles both sources.  One benchmark entry per sweep
+    *benchmark* (aggregated over its systems) plus a ``sweep_total``
+    entry; per-cell rates ride in ``extra_info.cells``.
+    """
+    per_bench = per_benchmark_throughput(results)
+    entries: List[Dict[str, object]] = []
+    for bench, agg in per_bench.items():
+        cells = {
+            system: round(r.refs_per_sec, 1)
+            for (system, b), r in results.items()
+            if b == bench
+        }
+        entries.append(
+            {
+                "name": f"perf::{bench}",
+                "extra_info": {
+                    "refs_per_sec": agg["refs_per_sec"],
+                    "refs": int(agg["refs"]),
+                    "elapsed_s": agg["elapsed_s"],
+                    "cells": cells,
+                },
+            }
+        )
+    total_refs = sum(int(a["refs"]) for a in per_bench.values())
+    total_elapsed = sum(a["elapsed_s"] for a in per_bench.values())
+    entries.append(
+        {
+            "name": "perf::sweep_total",
+            "extra_info": {
+                "refs_per_sec": (
+                    total_refs / total_elapsed if total_elapsed > 0 else 0.0
+                ),
+                "refs": total_refs,
+                "elapsed_s": total_elapsed,
+                "wall_s": wall_s,
+                "jobs": jobs,
+            },
+        }
+    )
+    return {"benchmarks": entries}

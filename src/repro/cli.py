@@ -59,11 +59,11 @@ from typing import List, Optional
 
 from . import __version__
 from .analysis.charts import bar_chart
-from .analysis.report import format_grid
+from .analysis.report import format_grid, perf_json, throughput_report
 from .errors import ReproError
 from .experiments import ALL_EXPERIMENTS
 from .params import SETTINGS, BusProtocol, ThresholdPolicy, setting
-from .sim.parallel import default_jobs, perf_json, throughput_report, timed_sweep
+from .sim.parallel import default_jobs, timed_sweep
 from .sim.runner import (
     DEFAULT_REFS,
     DEFAULT_SCALE,

@@ -62,8 +62,6 @@ wall-clock telemetry catalogue.
 from .events import (
     CHECK_EVENT_KINDS,
     EVENT_KINDS,
-    SERVICE_EVENT_KINDS,
-    SWEEP_EVENT_KINDS,
     EventTracer,
     TraceEvent,
 )
@@ -112,8 +110,6 @@ from .timeline import (
 __all__ = [
     "CHECK_EVENT_KINDS",
     "EVENT_KINDS",
-    "SERVICE_EVENT_KINDS",
-    "SWEEP_EVENT_KINDS",
     "EventTracer",
     "TraceEvent",
     "Histogram",

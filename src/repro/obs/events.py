@@ -80,56 +80,6 @@ EVENT_KINDS = {
 }
 
 
-#: resilience events emitted by the sweep executor's RecoveryLog (node and
-#: block are -1: these are sweep-level, not protocol-level; ``now`` is the
-#: recovery-action ordinal, not the simulated clock)
-SWEEP_EVENT_KINDS = {
-    "cell_retry": "a cell attempt failed and was scheduled for retry",
-    "cell_timeout": "a cell exceeded its wall-clock budget; its worker was killed",
-    "worker_lost": "a worker process died; the supervisor took over its work",
-    "cell_redispatch": "a cell lost to a worker crash was queued to run again",
-    "cell_degraded_serial": "a repeatedly worker-fatal cell ran serially in the parent",
-    "cell_recovered": "a cell completed after one or more recovery actions",
-    "cells_resumed": "journalled cells were restored by --resume instead of re-run",
-    "journal_repaired": "torn or stale journal records were skipped on resume",
-    "trace_quarantined": "a corrupt trace-cache entry was quarantined and regenerated",
-    "trace_cache_skipped": "a trace-cache write failed; the run continued uncached",
-    "fault_injected": "the fault-injection harness fired (REPRO_FAULTS only)",
-    "pool_unavailable": "the worker pool could not run; the sweep degraded to serial",
-    # content-addressed result store (repro.service.store)
-    "cell_cache_hit": "a cell was served from the result store, no simulation",
-    "result_quarantined": "a corrupt result-store entry was quarantined; the "
-    "cell re-simulated",
-    "result_store_skipped": "result-store writes failed; cells ran uncached",
-    "result_store_evicted": "LRU eviction removed entries to honour "
-    "$REPRO_STORE_MAX_BYTES",
-    "result_quarantine_failed": "a corrupt entry could not be moved aside "
-    "or removed; reads keep re-simulating around it",
-    "store_degraded": "result-store writes started failing (disk full or "
-    "read-only root); serving uncached until they recover",
-    "store_recovered": "result-store writes succeeded again after a "
-    "degraded spell",
-}
-
-
-#: job-lifecycle events emitted by the sweep service's JobManager (same
-#: sweep-level conventions as SWEEP_EVENT_KINDS; ``detail`` is
-#: ``<job_id>: <state>``)
-SERVICE_EVENT_KINDS = {
-    "job_submitted": "a sweep spec was validated, persisted, and queued",
-    "job_started": "a job worker began executing the sweep",
-    "job_completed": "the sweep finished; result.json and manifest written",
-    "job_failed": "the sweep raised; the error is recorded on the job",
-    "job_resumed": "an unfinished job from a previous server was re-enqueued",
-    "job_cancelled": "a job was cancelled (POST /jobs/<id>/cancel)",
-    "job_draining": "graceful shutdown began while this job was running",
-    "job_drained": "a running job was parked back to queued at a cell "
-    "boundary during drain; a restarted server resumes it",
-    "job_expired": "TTL garbage collection reaped a terminal job",
-    "service_rejected": "admission control load-shed a submission (503)",
-}
-
-
 #: verification events emitted by the ``repro check`` engines (node and
 #: block are -1 unless the event names one; ``now`` is the engine's own
 #: ordinal — explored states, diffed cells, or fuzz cases — not a simulated

@@ -15,9 +15,10 @@ results artifact:
   of the same sweep produce bit-identical core manifests, serial or
   parallel (pinned by ``tests/sim/test_obs.py``).
 
-Set ``REPRO_MANIFEST_DIR`` (or pass ``--manifest-dir`` to the CLI) to
-have every sweep drop its manifest there; ``repro report`` always writes
-one next to its report.
+Set ``REPRO_MANIFEST_DIR`` to have ``repro perf`` (``timed_sweep``), the
+experiment drivers and ``repro check`` drop their manifests there
+(``repro sweep`` writes none); ``repro report`` always writes one next
+to its report, or to ``--manifest-dir``.
 """
 
 from __future__ import annotations

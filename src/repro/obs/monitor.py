@@ -2,13 +2,14 @@
 
 A sweep started with ``--run-dir`` leaves a complete, crash-safe account
 of itself on disk while it runs: ``run.json`` (the planned matrix),
-``journal.jsonl`` (one fsynced record per completed cell, with engine
-timings), and ``recovery.jsonl`` (every retry/timeout/fault action,
-streamed by the sweep's :class:`~repro.sim.parallel.RecoveryLog`).  This
-module *tails* those three files — read-only, tolerant of torn lines and
-of the directory not existing yet — and renders a progress board:
+``journal.jsonl`` (one fsynced record per simulated cell, with engine
+timings), and ``recovery.jsonl`` (every store hit and retry/timeout/fault
+action, streamed by the sweep's :class:`~repro.sim.parallel.RecoveryLog`).
+This module *tails* those three files — read-only, tolerant of torn lines
+and of the directory not existing yet — and renders a progress board:
 
-* per-cell grid (``.`` planned, ``#`` done) in plan order;
+* per-cell grid (``.`` planned, ``#`` simulated, ``+`` from the result
+  store) in plan order;
 * completed/total cells, simulated refs, engine refs/sec;
 * an ETA extrapolated from the mean engine-seconds of completed cells
   and the observed completion rate;
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..durable import read_jsonl
 from ..sim.checkpoint import JOURNAL_NAME, RECOVERY_NAME, read_run_header
@@ -40,7 +41,8 @@ class SweepProgress:
         self.benchmarks: List[str] = list(header.get("benchmarks", []))
         self.refs_per_cell = int(header.get("refs", 0))
         self.header_present = bool(header)
-        #: (system, benchmark) -> journal record (newest wins, like resume)
+        #: (system, benchmark) -> journal record of a simulated cell
+        #: (newest wins, like resume)
         self.done: Dict[Tuple[str, str], dict] = {}
         for rec in read_jsonl(self.run_dir / JOURNAL_NAME):
             try:
@@ -50,10 +52,16 @@ class SweepProgress:
             self.done[key] = rec
         self.recovery_counts: Dict[str, int] = {}
         self.recovery_last: Optional[dict] = None
+        hits: Set[Tuple[str, str]] = set()
         for rec in read_jsonl(self.run_dir / RECOVERY_NAME):
             kind = str(rec.get("kind", "?"))
             self.recovery_counts[kind] = self.recovery_counts.get(kind, 0) + 1
             self.recovery_last = rec
+            if kind == "cell_cache_hit":
+                hits.add((str(rec.get("system")), str(rec.get("benchmark"))))
+        #: cells served from the result store: a ``cell_cache_hit`` action
+        #: and no journal record (a record means a later run simulated it)
+        self.cached: Set[Tuple[str, str]] = hits - set(self.done)
 
     # ---- derived numbers -------------------------------------------------
 
@@ -64,12 +72,12 @@ class SweepProgress:
     @property
     def done_cells(self) -> int:
         if not self.total_cells:
-            return len(self.done)
+            return len(self.done) + len(self.cached)
         return sum(
             1
             for s in self.systems
             for b in self.benchmarks
-            if (s, b) in self.done
+            if (s, b) in self.done or (s, b) in self.cached
         )
 
     @property
@@ -78,15 +86,9 @@ class SweepProgress:
 
     @property
     def cached_cells(self) -> int:
-        """Cells served from the content-addressed result store.
-
-        Journal records carry ``source: cache`` when the sweep restored
-        them from :mod:`repro.service.store` instead of simulating (older
-        journals have no source field and count as simulated).
-        """
-        return sum(
-            1 for rec in self.done.values() if rec.get("source") == "cache"
-        )
+        """Cells served from the content-addressed result store
+        (:mod:`repro.service.store`) instead of simulated."""
+        return len(self.cached)
 
     @property
     def simulated_refs(self) -> int:
@@ -137,17 +139,16 @@ class SweepProgress:
         return rows
 
     def _mark(self, system: str, bench: str) -> str:
-        rec = self.done.get((system, bench))
-        if rec is None:
-            return "."
-        return "+" if rec.get("source") == "cache" else "#"
+        if (system, bench) in self.cached:
+            return "+"
+        return "#" if (system, bench) in self.done else "."
 
     def snapshot(self, jobs: int = 1) -> Dict[str, object]:
         """The board as a plain JSON-serialisable dict.
 
         The machine-readable twin of :meth:`render`, served by the job
-        server's ``/jobs/<id>`` and ``/top`` endpoints and consumed by
-        ``scripts/load_test.py`` — same numbers, no text parsing.
+        server's ``/jobs/<id>`` and ``/top`` endpoints — same numbers, no
+        text parsing.
         """
         eta = self.eta_seconds(jobs=jobs)
         return {

@@ -73,7 +73,9 @@ SETTINGS: Dict[str, Setting] = {
         int, 10_000, 1, "`repro.obs.profile`", "references per profiler time-series window"),
     "REPRO_MANIFEST_DIR": Setting(
         str, None, None, "`repro.obs.manifest`",
-        "directory where every sweep drops its run manifest"),
+        "directory where `repro perf` (`timed_sweep`), the experiment drivers, "
+        "`repro report` and `repro check` drop their run manifests "
+        "(`repro sweep` writes none)"),
     "REPRO_GIT_SHA": Setting(
         str, None, None, "`repro.obs.manifest`",
         "git SHA recorded in manifests (unset: `git rev-parse HEAD`)"),

@@ -13,8 +13,9 @@ directory under ``<data_dir>/jobs/<job_id>/`` holding
 * ``run/`` — a standard :class:`~repro.sim.checkpoint.SweepJournal` run
   directory, written by the same fault-tolerant sweep engine every CLI
   sweep uses, which is what makes jobs **resumable**: a server killed
-  mid-job re-enqueues it on startup, and the journal restores every
-  completed cell bit-identically instead of re-simulating it;
+  mid-job re-enqueues it on startup, the journal restores every
+  simulated cell bit-identically and the store serves again the cells
+  it served before (a store hit is not journalled);
 * ``job-manifest.json`` — the run manifest of the finished sweep, with
   the cache hit/simulated split under its ``cache`` key;
 * ``result.json`` — the response payload for ``GET /jobs/<id>/result``
@@ -228,7 +229,6 @@ class JobManager:
         data_dir: Union[str, Path, None] = None,
         job_workers: int = 2,
         store: Optional[ResultStore] = None,
-        tracer=None,
         max_queued_jobs: Optional[int] = None,
         max_inflight_cells: Optional[int] = None,
         job_ttl_s: Optional[float] = None,
@@ -248,7 +248,6 @@ class JobManager:
         self.store = store if store is not None else ResultStore(
             self.data_dir / "store", metrics=self.metrics
         )
-        self.tracer = tracer
         self.started_unix = time.time()
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._lock = threading.Lock()
@@ -301,7 +300,6 @@ class JobManager:
                 job.state = "queued"
                 job.resumed = True
                 self._persist(job)
-                self._emit("job_resumed", job)
                 self._executor.submit(self._run, job.id)
                 resumed.append(job.id)
         if resumed:
@@ -347,9 +345,6 @@ class JobManager:
             self._draining.set()
             self.metrics.inc("repro_drain_started_total")
             self.metrics.set_gauge("repro_service_draining", 1)
-            for job in self.list_jobs():
-                if job.state == "running":
-                    self._emit("job_draining", job)
 
     def drain(self, timeout: Optional[float] = None) -> Dict[str, object]:
         """Blocking graceful shutdown; returns a summary of what happened.
@@ -499,7 +494,6 @@ class JobManager:
             self._jobs[job.id] = job
             self._aborts[job.id] = threading.Event()
         self._persist(job)
-        self._emit("job_submitted", job)
         self.metrics.inc("repro_jobs_submitted_total")
         self._executor.submit(self._run, job.id)
         self._update_gauges()
@@ -533,8 +527,6 @@ class JobManager:
 
     def _note_rejection(self, reason: str, kind: str = "admission") -> None:
         self.note_rejected(kind)
-        if self.tracer is not None:
-            self.tracer.emit("service_rejected", now=0, detail=reason)
         raise ServiceUnavailableError(reason, retry_after_s=self.retry_after_s)
 
     # ---- cancellation & garbage collection -------------------------------
@@ -563,7 +555,6 @@ class JobManager:
         self.metrics.inc("repro_jobs_cancel_requests_total")
         if flipped:
             self._persist(job)
-            self._emit("job_cancelled", job)
             self.metrics.inc("repro_jobs_completed_total", labels={"state": "cancelled"})
             self._update_gauges()
             self._save_metrics()
@@ -594,7 +585,6 @@ class JobManager:
             self.expired += len(reaped)
         for job in reaped:
             shutil.rmtree(self.job_dir(job.id), ignore_errors=True)
-            self._emit("job_expired", job)
         if reaped:
             self.metrics.inc("repro_jobs_expired_total", len(reaped))
             self._save_metrics()
@@ -618,7 +608,6 @@ class JobManager:
             job.state = "running"
             abort = self._aborts.setdefault(job_id, threading.Event())
         job.started_unix = time.time()
-        self._emit("job_started", job)
         queue_wait = max(0.0, job.started_unix - job.created_unix)
         self.metrics.observe("repro_job_queue_wait_seconds", queue_wait)
         self._update_gauges()
@@ -637,7 +626,7 @@ class JobManager:
             "queue-wait", job.created_unix, queue_wait,
             job_id=job.id, resumed=job.resumed,
         )
-        recovery = RecoveryLog(tracer=self.tracer)
+        recovery = RecoveryLog()
         recovery.request_id = job.request_id
         run_t0 = time.time()
         try:
@@ -660,7 +649,7 @@ class JobManager:
             )
         except JobCancelledError:
             if job_id in self._cancel_requested:
-                self._finish(job, "cancelled", "job_cancelled", spans, run_t0)
+                self._finish(job, "cancelled", spans, run_t0)
             else:
                 # drain abort: park back to queued so a restarted server
                 # resumes from the journal (completed cells restore
@@ -669,7 +658,6 @@ class JobManager:
                 job.started_unix = None
                 job.finished_unix = None
                 self._persist(job)
-                self._emit("job_drained", job)
                 self.metrics.inc("repro_jobs_parked_total")
                 spans.close()
                 self._update_gauges()
@@ -677,7 +665,7 @@ class JobManager:
             return
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             job.error = f"{type(exc).__name__}: {exc}"
-            self._finish(job, "failed", "job_failed", spans, run_t0)
+            self._finish(job, "failed", spans, run_t0)
             return
         spans.add(
             "sweep run", run_t0, time.time() - run_t0,
@@ -702,13 +690,12 @@ class JobManager:
             },
         )
         write_manifest(manifest, self.job_dir(job.id), name="job")
-        self._finish(job, "done", "job_completed", spans, run_t0, add_run_span=False)
+        self._finish(job, "done", spans, run_t0, add_run_span=False)
 
     def _finish(
         self,
         job: Job,
         state: str,
-        event: str,
         spans: SpanRecorder,
         run_t0: float,
         add_run_span: bool = True,
@@ -737,7 +724,6 @@ class JobManager:
         self._save_metrics()
         self._persist(replace(job, state=state))
         job.state = state
-        self._emit(event, job)
         self._update_gauges()
 
     def _write_result(self, job: Job, results) -> None:
@@ -771,10 +757,6 @@ class JobManager:
 
     def _persist(self, job: Job) -> None:
         _write_json(self.job_dir(job.id) / "job.json", job.to_dict())
-
-    def _emit(self, kind: str, job: Job) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(kind, now=0, detail=f"{job.id}: {job.state}")
 
     # ---- telemetry --------------------------------------------------------
 

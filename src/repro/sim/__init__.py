@@ -9,7 +9,6 @@ from .parallel import (
     default_jobs,
     resolve_policy,
     run_parallel_sweep,
-    throughput_report,
 )
 from .results import SimulationResult
 from .runner import resolve_sweep_configs, simulate, sweep
@@ -24,7 +23,6 @@ __all__ = [
     "resolve_sweep_configs",
     "run_parallel_sweep",
     "default_jobs",
-    "throughput_report",
     "SweepJournal",
     "SweepPolicy",
     "RecoveryLog",

@@ -8,11 +8,14 @@ crash or a killed parent must not throw away a 400k-reference run.  A
   systems, benchmarks), written atomically when the run starts.  Resuming
   with different parameters raises
   :class:`~repro.errors.CheckpointError` instead of silently mixing runs.
-* ``journal.jsonl`` — one JSON record per completed ``(system,
+* ``journal.jsonl`` — one JSON record per simulated ``(system,
   benchmark)`` cell: :meth:`SimulationResult.record
   <repro.sim.results.SimulationResult.record>` (the full counter tally,
   the metrics snapshot, and content digests of both the counters and the
   system configuration) plus the version, provenance and elapsed time.
+  A cell served from the result store is not journalled: its record is
+  the ``cell_cache_hit`` action in ``recovery.jsonl``, and a resumed
+  sweep looks it up in the store again.
   Records are appended with flush + fsync, so a crash loses at most the
   line being written — and a torn final line is *tolerated* on load
   (skipped and re-simulated), never fatal.
@@ -64,13 +67,12 @@ class SweepJournal:
         self.run_dir = Path(run_dir)
         self._fh: Optional[IO[str]] = None
         #: load() statistics, surfaced by the sweep's recovery log
-        self.restored = 0
         self.torn_lines = 0
         self.stale_records = 0
         #: HTTP correlation id stamped into appended rows.  Provenance
-        #: only, like ``source``: deliberately NOT part of the run.json
-        #: identity (a resumed run under a new request id must match),
-        #: and ignored by :meth:`load`.
+        #: only: deliberately NOT part of the run.json identity (a resumed
+        #: run under a new request id must match), and ignored by
+        #: :meth:`load`.
         self.request_id: Optional[str] = None
 
     # ---- lifecycle -------------------------------------------------------
@@ -116,6 +118,13 @@ class SweepJournal:
                 for key, value in params.items()
                 if existing.get(key) != value
             ]
+            if "journal_version" in mismatched:
+                raise CheckpointError(
+                    f"run directory {journal.run_dir} holds journal_version "
+                    f"{existing.get('journal_version')!r}, but this release "
+                    f"writes journal_version {JOURNAL_VERSION}; it cannot be "
+                    f"resumed and needs a fresh directory"
+                )
             if mismatched:
                 raise CheckpointError(
                     f"run directory {journal.run_dir} was started with different "
@@ -149,13 +158,13 @@ class SweepJournal:
         """Restore every trustworthy completed cell from the journal.
 
         Tolerates a torn trailing line (a worker or parent killed
-        mid-append) by skipping it; discards as stale the records of
-        another journal version or of a system not in ``configs``, and
-        those whose counter digest fails or whose config digest no longer
-        matches ``configs`` — those cells are simply re-simulated.
+        mid-append), or any line that is not a JSON object, by skipping
+        it; discards as stale the records of another journal version or
+        of a system not in ``configs``, and those whose counter digest
+        fails or whose config digest no longer matches ``configs`` — those
+        cells are simply re-simulated.
         Duplicate cells keep the newest record.
         """
-        self.restored = 0
         self.torn_lines = 0
         self.stale_records = 0
         path = self.journal_path
@@ -169,6 +178,8 @@ class SweepJournal:
                     continue
                 try:
                     rec = json.loads(line)
+                    if not isinstance(rec, dict):
+                        raise TypeError("journal line is not a JSON object")
                     if (rec.get("journal_version") != JOURNAL_VERSION
                             or rec["system"] not in configs):
                         raise StaleRecord("another journal version or system")
@@ -181,30 +192,18 @@ class SweepJournal:
                     self.torn_lines += 1
                     continue
                 out[(result.system, result.benchmark)] = result
-        self.restored = len(out)
         return out
 
     # ---- writing ---------------------------------------------------------
 
-    def append(
-        self, result: SimulationResult, scale: float, source: str = "simulated"
-    ) -> None:
-        """Atomically append one completed cell.
+    def append(self, result: SimulationResult, scale: float) -> None:
+        """Atomically append one simulated cell.
 
         One JSON line, flushed and fsynced before returning: once this
         method returns, the cell survives any crash of the process.
-        ``source`` records how the cell was obtained — ``"simulated"`` by
-        the simulator, or ``"cache"`` from the content-addressed result store
-        (:mod:`repro.service.store`); it is provenance only and plays no
-        part in resume validation, but ``repro top`` and the service's
-        job endpoints surface it so cache hits are visible per cell.
         """
         rec = result.record(scale)
-        rec.update(
-            journal_version=JOURNAL_VERSION,
-            source=source,
-            elapsed_s=result.elapsed_s,
-        )
+        rec.update(journal_version=JOURNAL_VERSION, elapsed_s=result.elapsed_s)
         if self.request_id:
             rec["request_id"] = self.request_id
         if self._fh is None:

@@ -41,9 +41,9 @@ Resilience (see ``docs/ROBUSTNESS.md``):
   dying with its workers falls back to running **serially in the parent**
   — degrade-to-serial affects only that cell, never the whole sweep;
 * every recovery action is recorded in a :class:`RecoveryLog` — counted
-  for ``obs.metrics``, optionally emitted as ``repro.obs`` events, and
-  surfaced in the run manifest;
-* with a ``run_dir``, completed cells are journalled through
+  for ``obs.metrics``, streamed to the run directory's
+  ``recovery.jsonl`` and surfaced in the run manifest;
+* with a ``run_dir``, simulated cells are journalled through
   :class:`~repro.sim.checkpoint.SweepJournal` as they finish, and a
   resumed sweep skips them, re-merging bit-identically with a
   from-scratch run.
@@ -57,7 +57,7 @@ import threading
 import time
 import traceback
 import uuid
-from collections import OrderedDict, deque
+from collections import deque
 from typing import (
     Callable,
     Deque,
@@ -137,24 +137,24 @@ def resolve_policy(
 
 
 class RecoveryLog:
-    """Every recovery action one sweep took, counted and optionally traced.
+    """Every recovery action one sweep took: its one record of events.
 
     ``counts`` aggregates per action kind (the numbers that land in
     ``obs.metrics``-style snapshots and the run manifest); ``actions``
-    keeps the ordered detail.  Attach an
-    :class:`~repro.obs.events.EventTracer` to additionally emit each
-    action as a structured event (kinds in
-    :data:`repro.obs.events.SWEEP_EVENT_KINDS`); attach a JSONL sink
-    (:meth:`attach_jsonl`) to additionally stream each action to disk as
-    it happens — the feed ``repro top`` tails for a running sweep's
-    retry/fault column.  Sweeps given a ``run_dir`` get the sink
-    automatically (``recovery.jsonl`` beside the journal).
+    keeps the ordered detail.  Attach a JSONL sink (:meth:`attach_jsonl`)
+    to additionally stream each action to disk as it happens — the feed
+    ``repro top`` and a service job's progress read for store hits and
+    the retry/fault column.  Sweeps given a ``run_dir`` get the sink
+    automatically (``recovery.jsonl`` beside the journal).  The kinds are
+    listed in ``docs/ROBUSTNESS.md``.
     """
 
-    def __init__(self, tracer=None) -> None:
+    def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
         self.actions: List[Dict[str, object]] = []
-        self.tracer = tracer
+        #: cells restored from the sweep journal (each resume also notes
+        #: one ``cells_resumed`` action)
+        self.resumed_cells = 0
         self._sink: Optional[JsonlSink] = None
         #: HTTP correlation id stamped into every action (provenance only)
         self.request_id: Optional[str] = None
@@ -184,9 +184,6 @@ class RecoveryLog:
         self.actions.append(action)
         if self._sink is not None:
             self._sink.write(action)
-        if self.tracer is not None:
-            where = f"{system}/{benchmark}: " if system or benchmark else ""
-            self.tracer.emit(kind, now=len(self.actions), detail=where + detail)
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -350,11 +347,24 @@ def _run_cell_resilient(
     )
 
 
-def _note_simulated(
-    metrics, spans, cell: SweepCell, t0_unix: float, dur_s: float,
-    proc: str = "sweep",
-) -> None:
-    """Per-cell telemetry (counter + wall-clock histogram + span).
+def _cell_span(
+    cell: SweepCell, t0_unix: float, proc: str, **args: object
+) -> Dict[str, object]:
+    """One cell's ``cell simulate`` span, timed from ``t0_unix`` to now,
+    as :meth:`~repro.obs.spans.SpanRecorder.add_raw` takes it."""
+    return {
+        "name": "cell simulate",
+        "t0_unix": t0_unix,
+        "dur_s": time.time() - t0_unix,
+        "proc": proc,
+        "args": {"system": cell.system, "benchmark": cell.benchmark, **args},
+    }
+
+
+def _note_simulated(metrics, spans, payloads: List[Dict[str, object]]) -> None:
+    """Per-cell telemetry: the simulated-cell counter, the wall-clock
+    histogram (fed the ``cell simulate`` span, ``payloads[0]``) and every
+    span in ``payloads``.
 
     All parent-side service-layer accounting — nothing here touches the
     simulator or its counters, so results stay bit-identical with
@@ -362,12 +372,10 @@ def _note_simulated(
     """
     if metrics is not None:
         metrics.inc("repro_sweep_cells_total", labels={"outcome": "simulated"})
-        metrics.observe("repro_sweep_cell_seconds", dur_s)
+        metrics.observe("repro_sweep_cell_seconds", float(payloads[0]["dur_s"]))
     if spans is not None:
-        spans.add(
-            "cell simulate", t0_unix, dur_s, proc=proc,
-            system=cell.system, benchmark=cell.benchmark,
-        )
+        for payload in payloads:
+            spans.add_raw(payload)
 
 
 def _run_cells_serial(
@@ -388,7 +396,7 @@ def _run_cells_serial(
             )
         t0 = time.time()
         result = _run_cell_resilient(cell, policy, recovery, disk_cache)
-        _note_simulated(metrics, spans, cell, t0, time.time() - t0)
+        _note_simulated(metrics, spans, [_cell_span(cell, t0, "sweep")])
         out[(cell.system, cell.benchmark)] = result
         if journal is not None:
             journal.append(result, cell.scale)
@@ -455,20 +463,9 @@ def _service_worker(worker_id: int, task_q, result_q, disk_cache: bool) -> None:
                 # first.  Wall-clock measured in the worker process — the
                 # cross-process leg of the job's span tree — with the
                 # trace and run children splitting it by layer.
-                span_id = uuid.uuid4().hex[:12]
-                payloads: List[Dict[str, object]] = [{
-                    "span_id": span_id,
-                    "name": "cell simulate",
-                    "t0_unix": t0,
-                    "dur_s": time.time() - t0,
-                    "proc": proc,
-                    "args": {
-                        "system": cell.system,
-                        "benchmark": cell.benchmark,
-                        "attempt": attempt,
-                        "os_pid": os.getpid(),
-                    },
-                }]
+                span = _cell_span(cell, t0, proc, attempt=attempt, os_pid=os.getpid())
+                span["span_id"] = span_id = uuid.uuid4().hex[:12]
+                payloads: List[Dict[str, object]] = [span]
                 payloads += [
                     {"parent_id": span_id, "name": name, "t0_unix": start,
                      "dur_s": dur, "proc": proc}
@@ -731,7 +728,7 @@ def _execute_cells(
             try:
                 t0 = time.time()
                 result = _attempt_cell(cell, pool.disk_cache, used, recovery.note)
-                _note_simulated(metrics, spans, cell, t0, time.time() - t0)
+                _note_simulated(metrics, spans, [_cell_span(cell, t0, "sweep")])
                 record_ok(idx, result)
                 return
             except Exception as exc:
@@ -819,20 +816,10 @@ def _execute_cells(
             recovery.note(message[2], detail=message[3])
         elif kind == "span":
             # worker-measured wall clock of one cell (and its trace/run
-            # children): feed the histogram/counter and the job's span tree
+            # children); a duplicate completion after a redispatch race
+            # records its spans but is not counted again
             idx, payloads = message[2], message[3]
-            if idx not in results and metrics is not None:
-                metrics.inc(
-                    "repro_sweep_cells_total",
-                    labels={"outcome": "simulated"},
-                )
-                metrics.observe(
-                    "repro_sweep_cell_seconds",
-                    float(payloads[0].get("dur_s", 0.0)),
-                )
-            if spans is not None:
-                for payload in payloads:
-                    spans.add_raw(payload)
+            _note_simulated(None if idx in results else metrics, spans, payloads)
 
     lost = False  # a worker died, was killed or timed out
     clean = False
@@ -981,14 +968,16 @@ def run_parallel_sweep(
 
     ``result_store`` — a :class:`repro.service.store.ResultStore` —
     memoises completed cells by content key: before simulating, each cell
-    is looked up (a hit restores the exact counters/metrics the original
-    run produced, costs zero engine time, and is journalled with
-    ``source="cache"``), and every cell the sweep *did* simulate is
-    stored for the next request.  Cache hits are recorded in the
-    recovery log (``cell_cache_hit``) so manifests and ``repro top`` can
-    report hit rates; a store read that finds corruption quarantines the
-    entry and the cell transparently re-simulates.  Every recovery action
-    of the trace cache and the store lands in ``recovery``.
+    the journal lacks is looked up (a hit restores the exact
+    counters/metrics the original run produced and costs zero engine
+    time), and every cell the sweep *did* simulate is stored for the next
+    request.  A hit's one record is its ``cell_cache_hit`` action in the
+    recovery log, which manifests and ``repro top`` count; it is not
+    journalled, so a resumed sweep reads the store again (and simulates a
+    cell whose entry was evicted meanwhile).  A store read that finds
+    corruption quarantines the entry and the cell transparently
+    re-simulates.  Every recovery action of the trace cache and the store
+    lands in ``recovery``.
 
     ``profile`` — attach a :class:`repro.obs.profile.StallProfiler` to
     every simulated cell, in whichever process runs it.
@@ -1043,6 +1032,7 @@ def run_parallel_sweep(
 
         recovery.attach_jsonl(journal.run_dir / RECOVERY_NAME)
         done = journal.load(configs)
+        recovery.resumed_cells += len(done)
         if done:
             recovery.note(
                 "cells_resumed",
@@ -1095,8 +1085,6 @@ def run_parallel_sweep(
                             "cell cache-hit", t_get, time.time() - t_get,
                             system=c.system, benchmark=c.benchmark,
                         )
-                    if journal is not None:
-                        journal.append(hit, c.scale, source="cache")
                     continue
             todo.append(c)
         if todo and pool is None and (jobs <= 1 or len(todo) <= 1):
@@ -1166,131 +1154,6 @@ def run_parallel_sweep(
             for cell in cells}
 
 
-# ---------------------------------------------------------------------------
-# throughput reporting
-# ---------------------------------------------------------------------------
-
-
-def per_benchmark_throughput(
-    results: Mapping[Tuple[str, str], SimulationResult],
-) -> "OrderedDict[str, Dict[str, float]]":
-    """Aggregate engine throughput per benchmark, in results order.
-
-    Each entry: ``{"refs": total simulated refs, "elapsed_s": engine
-    seconds, "refs_per_sec": aggregate rate, "cells": cell count}``.
-    """
-    out: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
-    for (_system, bench), r in results.items():
-        agg = out.setdefault(
-            bench, {"refs": 0.0, "elapsed_s": 0.0, "refs_per_sec": 0.0, "cells": 0.0}
-        )
-        agg["refs"] += r.refs
-        agg["elapsed_s"] += r.elapsed_s
-        agg["cells"] += 1
-    for agg in out.values():
-        agg["refs_per_sec"] = (
-            agg["refs"] / agg["elapsed_s"] if agg["elapsed_s"] > 0 else 0.0
-        )
-    return out
-
-
-def throughput_report(
-    results: Mapping[Tuple[str, str], SimulationResult],
-    wall_s: Optional[float] = None,
-    jobs: int = 1,
-) -> str:
-    """Human-readable engine throughput report for one sweep.
-
-    Per-cell simulated references, engine seconds, and refs/sec; a
-    per-benchmark aggregate block; and the sweep total — the number CI
-    tracks for hot-path regressions.
-    """
-    lines = ["engine throughput report", "=" * 24]
-    lines.append(f"{'system':<8} {'benchmark':<10} {'refs':>9} {'secs':>8} {'refs/s':>11}")
-    total_refs = 0
-    total_elapsed = 0.0
-    for (system, bench), r in results.items():
-        total_refs += r.refs
-        total_elapsed += r.elapsed_s
-        lines.append(
-            f"{system:<8} {bench:<10} {r.refs:>9,} {r.elapsed_s:>8.3f} "
-            f"{r.refs_per_sec:>11,.0f}"
-        )
-    per_bench = per_benchmark_throughput(results)
-    if len(per_bench) > 1 or any(a["cells"] > 1 for a in per_bench.values()):
-        lines.append("-" * 50)
-        lines.append("per benchmark:")
-        for bench, agg in per_bench.items():
-            lines.append(
-                f"{'':<8} {bench:<10} {int(agg['refs']):>9,} "
-                f"{agg['elapsed_s']:>8.3f} {agg['refs_per_sec']:>11,.0f}"
-                f"  ({int(agg['cells'])} cells)"
-            )
-    agg_rate = total_refs / total_elapsed if total_elapsed > 0 else 0.0
-    lines.append("-" * 50)
-    lines.append(
-        f"{'total':<8} {'':<10} {total_refs:>9,} {total_elapsed:>8.3f} {agg_rate:>11,.0f}"
-    )
-    if wall_s is not None and wall_s > 0:
-        lines.append(
-            f"wall-clock {wall_s:.3f}s with jobs={jobs} "
-            f"({total_refs / wall_s:,.0f} refs/s end-to-end, "
-            f"speedup x{total_elapsed / wall_s:.2f} over engine time)"
-        )
-    return "\n".join(lines)
-
-
-def perf_json(
-    results: Mapping[Tuple[str, str], SimulationResult],
-    wall_s: Optional[float] = None,
-    jobs: int = 1,
-) -> Dict[str, object]:
-    """Machine-readable throughput payload for ``repro perf --json``.
-
-    The shape matches what ``scripts/check_bench_regression.py`` consumes
-    from pytest-benchmark (``benchmarks[].extra_info.refs_per_sec``), so
-    one gate script handles both sources.  One benchmark entry per sweep
-    *benchmark* (aggregated over its systems) plus a ``sweep_total``
-    entry; per-cell rates ride in ``extra_info.cells``.
-    """
-    per_bench = per_benchmark_throughput(results)
-    entries: List[Dict[str, object]] = []
-    for bench, agg in per_bench.items():
-        cells = {
-            system: round(r.refs_per_sec, 1)
-            for (system, b), r in results.items()
-            if b == bench
-        }
-        entries.append(
-            {
-                "name": f"perf::{bench}",
-                "extra_info": {
-                    "refs_per_sec": agg["refs_per_sec"],
-                    "refs": int(agg["refs"]),
-                    "elapsed_s": agg["elapsed_s"],
-                    "cells": cells,
-                },
-            }
-        )
-    total_refs = sum(int(a["refs"]) for a in per_bench.values())
-    total_elapsed = sum(a["elapsed_s"] for a in per_bench.values())
-    entries.append(
-        {
-            "name": "perf::sweep_total",
-            "extra_info": {
-                "refs_per_sec": (
-                    total_refs / total_elapsed if total_elapsed > 0 else 0.0
-                ),
-                "refs": total_refs,
-                "elapsed_s": total_elapsed,
-                "wall_s": wall_s,
-                "jobs": jobs,
-            },
-        }
-    )
-    return {"benchmarks": entries}
-
-
 def sweep_metrics(
     results: Mapping[Tuple[str, str], SimulationResult],
 ) -> Dict[str, Dict[str, object]]:
@@ -1318,13 +1181,7 @@ def cache_summary(
     """
     total = len(results)
     hits = recovery.counts.get("cell_cache_hit", 0)
-    resumed = 0
-    for action in recovery.actions:
-        if action["kind"] == "cells_resumed":
-            try:  # detail reads "N cell(s) restored from <dir>"
-                resumed += int(str(action["detail"]).split()[0])
-            except (ValueError, IndexError):
-                pass
+    resumed = recovery.resumed_cells
     simulated = max(0, total - hits - resumed)
     return {
         "total_cells": total,

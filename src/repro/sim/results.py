@@ -60,12 +60,16 @@ class SimulationResult:
 
         Raises :class:`StaleRecord` when the record's config digest is not
         ``config``'s or its counters fail their digest.  A malformed record
-        raises ``KeyError``, ``TypeError`` or ``ValueError``.  The restored
-        result has ``elapsed_s`` 0.
+        (``counters`` not an object, say) raises ``KeyError``,
+        ``TypeError`` or ``ValueError``.  The restored result has
+        ``elapsed_s`` 0.
         """
         if rec["config_sha"] != config_digest(config):
             raise StaleRecord("config digest mismatch")
-        counters = Counters(**{k: int(v) for k, v in rec["counters"].items()})
+        raw = rec["counters"]
+        if not isinstance(raw, dict):
+            raise TypeError("counters is not an object")
+        counters = Counters(**{k: int(v) for k, v in raw.items()})
         if counters_digest(counters) != rec["counters_sha"]:
             raise StaleRecord("counters digest mismatch")
         return cls(

@@ -245,6 +245,44 @@ class TestRestartRecovery:
         finally:
             mgr2.close()
 
+    def test_running_all_hit_job_resumes_from_the_store(self, tmp_path):
+        # an all-hit job journals no cell, so its resume serves every
+        # cell from the store again
+        data_dir = tmp_path / "svc"
+        big = dict(SPEC, systems=["vb", "base"], benchmarks=["fft", "lu"])
+        mgr1 = JobManager(data_dir=data_dir, job_workers=1)
+        mgr1.start()
+        try:
+            _wait(mgr1, mgr1.submit(big).id)
+            done = _wait(mgr1, mgr1.submit(big).id)
+        finally:
+            mgr1.close()
+        assert done.cache["hits"] == 4
+        job_file = data_dir / "jobs" / done.id / "job.json"
+        raw = json.loads(job_file.read_text())
+        raw["state"] = "running"
+        job_file.write_text(json.dumps(raw))
+        sha_before = {
+            (c["system"], c["benchmark"]): c["counters_sha"]
+            for c in json.loads(
+                (data_dir / "jobs" / done.id / "result.json").read_text()
+            )["cells"]
+        }
+        mgr2 = JobManager(data_dir=data_dir, job_workers=1)
+        try:
+            assert mgr2.start() == [done.id]
+            finished = _wait(mgr2, done.id)
+            assert finished.state == "done"
+            assert finished.cache["hits"] == 4
+            assert finished.cache["simulated"] == 0
+            sha_after = {
+                (c["system"], c["benchmark"]): c["counters_sha"]
+                for c in mgr2.result_payload(done.id)["cells"]
+            }
+            assert sha_after == sha_before
+        finally:
+            mgr2.close()
+
     def test_finished_jobs_not_rerun(self, tmp_path):
         data_dir = tmp_path / "svc"
         mgr1 = JobManager(data_dir=data_dir, job_workers=1)

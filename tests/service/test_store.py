@@ -150,6 +150,23 @@ class TestQuarantine:
         # the re-simulation re-populated the store
         assert store.entry_count() == 1
 
+    def test_non_object_counters_quarantined_by_a_sweep(self, store):
+        # an entry whose payload digest holds but whose counters are not
+        # an object is corrupt too: quarantined and re-simulated
+        from repro.service.store import _payload_sha
+
+        results = sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+                        result_store=store)
+        entry = next(store.root.glob("*/*.json"))
+        body = json.loads(entry.read_text(encoding="utf-8"))
+        body["counters"] = [1]
+        body["payload_sha"] = _payload_sha(body)
+        entry.write_text(json.dumps(body), encoding="utf-8")
+        again = sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+                      result_store=store)
+        assert again[("vb", "fft")].counters == results[("vb", "fft")].counters
+        assert store.stats()["quarantined"] == 1
+
 
 class TestConcurrency:
     def test_concurrent_writers_single_entry(self, store):
@@ -404,6 +421,44 @@ class TestSweepIntegration:
         assert "+" in "\n".join(progress.grid())
         snap = progress.snapshot()
         assert snap["cached_cells"] == 1 and snap["simulated_cells"] == 0
+
+    def test_store_hit_is_recorded_once(self, store, tmp_path):
+        # a hit's one record is its cell_cache_hit action in recovery.jsonl
+        from repro.durable import read_jsonl
+        from repro.obs.monitor import SweepProgress
+
+        sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+              result_store=store)
+        run_dir = tmp_path / "run"
+        sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+              result_store=store, run_dir=str(run_dir))
+        assert list(read_jsonl(run_dir / "journal.jsonl")) == []
+        progress = SweepProgress(run_dir)
+        assert progress.done_cells == progress.cached_cells == 1
+        assert progress.simulated_refs == 0
+        assert "+" in "\n".join(progress.grid())
+
+    def test_resumed_hit_whose_entry_was_evicted_is_simulated(self, store,
+                                                             tmp_path):
+        from repro.obs.monitor import SweepProgress
+        from repro.sim.parallel import RecoveryLog, cache_summary
+
+        first = sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+                      result_store=store)
+        run_dir = tmp_path / "run"
+        sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+              result_store=store, run_dir=str(run_dir))
+        store.clear()
+        recovery = RecoveryLog()
+        again = sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
+                      result_store=store, run_dir=str(run_dir),
+                      recovery=recovery)
+        assert again[("vb", "fft")].counters == first[("vb", "fft")].counters
+        assert cache_summary(again, recovery)["simulated"] == 1
+        # the journal row wins over the earlier hit action
+        progress = SweepProgress(run_dir)
+        assert progress.done_cells == 1 and progress.cached_cells == 0
+        assert "#" in "\n".join(progress.grid())
 
     def test_sweep_logs_its_own_store_quarantine(self, store):
         # the store lookups run before any cell: their quarantine must

@@ -118,6 +118,24 @@ class TestJournalRoundTrip:
                 systems=SYSTEMS, benchmarks=BENCHES,
             )
 
+    def test_version_refusal_names_no_flag(self, tmp_path):
+        run = tmp_path / "run"
+        SweepJournal.open(
+            run, refs=REFS, seed=1, scale=SCALE,
+            systems=SYSTEMS, benchmarks=BENCHES,
+        ).close()
+        header = json.loads((run / "run.json").read_text())
+        header["journal_version"] = 1
+        (run / "run.json").write_text(json.dumps(header))
+        with pytest.raises(CheckpointError) as excinfo:
+            SweepJournal.open(
+                run, refs=REFS, seed=1, scale=SCALE,
+                systems=SYSTEMS, benchmarks=BENCHES,
+            )
+        message = str(excinfo.value).replace(str(run), "<run>")
+        assert "journal_version 1" in message and "fresh directory" in message
+        assert "--" not in message
+
     def test_unreadable_header_raises(self, tmp_path):
         run = tmp_path / "run"
         run.mkdir()
@@ -140,6 +158,15 @@ class TestJournalTolerance:
         journal_path = run / "journal.jsonl"
         with open(journal_path, "a", encoding="utf-8") as fh:
             fh.write('{"journal_version": 1, "system": "base", "bench')  # torn
+        journal = SweepJournal(run)
+        restored = journal.load(resolve_sweep_configs(SYSTEMS))
+        assert journal.torn_lines == 1
+        assert set(restored) == set(results)
+
+    def test_non_object_line_counts_as_torn(self, tmp_path):
+        run, results = self._journalled_run(tmp_path)
+        with open(run / "journal.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("[1]\n")
         journal = SweepJournal(run)
         restored = journal.load(resolve_sweep_configs(SYSTEMS))
         assert journal.torn_lines == 1

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.report import throughput_report
 from repro.check import DEFAULT_VARIANTS, fuzz, tiny_check_config
 from repro.errors import ConfigurationError
 from repro.sim import runner
-from repro.sim.parallel import chunk_cells, plan_cells, throughput_report
+from repro.sim.parallel import chunk_cells, plan_cells
 from repro.sim.runner import (
     clear_trace_cache,
     get_trace,
