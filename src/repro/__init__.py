@@ -78,7 +78,6 @@ from .sim.runner import (
     simulate,
     sweep,
 )
-from .trace.io import clear_disk_trace_cache, trace_cache_dir
 from .sim.simulator import Simulator
 from .system.builder import SYSTEM_NAMES, build_machine, system_config
 from .trace.record import Trace, TraceSpec
@@ -131,8 +130,6 @@ __all__ = [
     "run_trace",
     "get_trace",
     "clear_trace_cache",
-    "clear_disk_trace_cache",
-    "trace_cache_dir",
     "run_parallel_sweep",
     "default_jobs",
     "throughput_report",

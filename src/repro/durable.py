@@ -1,14 +1,15 @@
 """Durable on-disk I/O: the one rule for how every artifact reaches disk.
 
-Whole-file artifacts — cached traces, result-store entries, ``run.json``,
+Whole-file artifacts — saved traces, result-store entries, ``run.json``,
 ``job.json``/``result.json``, run manifests, the metrics snapshot — are
 written by :func:`write_atomic` (temp file, fsync, rename), so a reader
-sees the old file or the new one, never a torn one.  Caches that verify a
-digest on read park a bad file with :func:`quarantine` and tell the
-caller's :data:`Note`; best-effort readers use :func:`read_json`.  Telemetry feeds
-(recovery actions, spans) are best-effort JSONL: :class:`JsonlSink`
-appends, :func:`read_jsonl` reads back and skips the torn tail a killed
-writer leaves.  The sweep journal is stricter (it fsyncs every record and
+sees the old file or the new one, never a torn one.  The result store,
+which verifies a digest on read, parks a bad entry with
+:func:`quarantine` and tells the caller's :data:`Note`; best-effort
+readers use :func:`read_json`.  Telemetry feeds (recovery actions,
+spans) are best-effort JSONL: :class:`JsonlSink` appends,
+:func:`read_jsonl` reads back and skips the torn tail a killed writer
+leaves.  The sweep journal is stricter (it fsyncs every record and
 a failed append fails the sweep) and keeps its own writer.
 """
 
@@ -22,7 +23,7 @@ from typing import IO, Any, Callable, Dict, Iterable, Iterator, Optional, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-#: how a cache reports a recovery action (a quarantine, a skipped write)
+#: how the store reports a recovery action (a quarantine, a skipped write)
 #: to the run that caused it: called as ``note(kind, detail=text)``,
 #: the shape of :meth:`repro.sim.parallel.RecoveryLog.note`
 Note = Callable[..., None]

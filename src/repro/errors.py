@@ -30,9 +30,8 @@ class TraceError(ReproError):
 class CorruptTraceError(TraceError):
     """A trace file failed its integrity check (digest mismatch, torn write).
 
-    Raised by :func:`repro.trace.io.load_trace`; the disk trace cache
-    converts it into quarantine-and-regenerate instead of letting it
-    propagate out of a sweep worker.
+    Raised by :func:`repro.trace.io.load_trace` when a file written by
+    :func:`~repro.trace.io.save_trace` does not read back intact.
     """
 
     def __init__(self, path: object, reason: str) -> None:

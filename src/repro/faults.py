@@ -1,7 +1,7 @@
 """Deterministic fault injection for the sweep resilience layer.
 
 Every recovery path in the sweep stack — per-cell retries, worker-loss
-redispatch, cell timeouts, trace-cache quarantine-and-regenerate — is
+redispatch, cell timeouts, result-store quarantine-and-re-simulate — is
 exercised by *injected* faults rather than trusted on faith.  A
 :class:`FaultPlan` is a seeded schedule parsed from the ``REPRO_FAULTS``
 environment variable (or the ``repro sweep --inject-faults`` flag, which
@@ -18,10 +18,6 @@ where ``kind`` is one of
 
 * ``cell``    — raise a transient :class:`~repro.errors.InjectedFaultError`
   at the start of a cell attempt (exercises retry/backoff);
-* ``io``      — raise a transient ``OSError`` when storing a trace-cache
-  entry (exercises cache-write degradation);
-* ``corrupt`` — bit-flip and truncate a just-written trace-cache file
-  (exercises digest verification + quarantine + regenerate);
 * ``kill``    — ``os._exit`` the worker process mid-cell (exercises
   lost-worker detection and redispatch; never fires in the parent);
 * ``slow``    — sleep ``seconds`` (default 0.2) before running the cell
@@ -49,7 +45,7 @@ N recovers it while a budget below N exercises
 
 Example::
 
-    REPRO_FAULTS="seed=7;cell=0.4;io=0.3;kill=0.2;slow=0.25@1:0.1"
+    REPRO_FAULTS="seed=7;cell=0.4;kill=0.2;slow=0.25@1:0.1;disk-full=0.3"
 
 See ``docs/ROBUSTNESS.md`` for the failure-mode table mapping each kind
 to the recovery path it exercises.
@@ -69,7 +65,7 @@ from .params import setting
 KILL_EXIT_CODE = 86
 
 KINDS = (
-    "cell", "io", "corrupt", "kill", "slow",
+    "cell", "kill", "slow",
     # service-layer kinds (repro.service)
     "reject", "hang", "disk-full", "store-corrupt",
 )
@@ -125,8 +121,8 @@ class FaultPlan:
             raise ConfigurationError("slow fault duration must be positive")
         if self.hang_s <= 0:
             raise ConfigurationError("hang fault duration must be positive")
-        # per-process fire tally for the trace-layer kinds (io/corrupt),
-        # which have no attempt number travelling with them
+        # per-process fire tally for the service-layer kinds, which have
+        # no attempt number travelling with them
         self._fired: Dict[Tuple[str, str], int] = {}
 
     # ---- parsing ---------------------------------------------------------
@@ -197,8 +193,9 @@ class FaultPlan:
         """Does ``kind`` fire for ``context`` on this attempt?
 
         Attempt-gated kinds (cell/kill/slow) fire while ``attempt`` is
-        below the kind's ``@attempts`` bound; io/corrupt instead fire at
-        most ``@attempts`` times per process for a given context.
+        below the kind's ``@attempts`` bound; the service-layer kinds
+        instead fire at most ``@attempts`` times per process for a given
+        context.
         """
         if not self._selected(kind, context):
             return False
@@ -227,10 +224,6 @@ class FaultPlan:
                 f"injected transient cell fault ({context}, attempt {attempt + 1})"
             )
 
-    def maybe_io_error(self, context: str) -> None:
-        if self.should("io", context):
-            raise OSError(f"injected transient I/O fault ({context})")
-
     # ---- service-layer injection sites -----------------------------------
 
     def should_reject(self, context: str) -> bool:
@@ -255,15 +248,9 @@ class FaultPlan:
             )
 
     def maybe_corrupt_store(self, path: object, context: str) -> bool:
-        """Mangle a just-written result-store entry; True when it fired."""
-        return self._corrupt("store-corrupt", path, context)
-
-    def maybe_corrupt_file(self, path: object, context: str) -> bool:
-        """Bit-flip and truncate ``path`` in place; True when it fired."""
-        return self._corrupt("corrupt", path, context)
-
-    def _corrupt(self, kind: str, path: object, context: str) -> bool:
-        if not self.should(kind, context):
+        """Bit-flip and truncate a just-written result-store entry in
+        place; True when it fired."""
+        if not self.should("store-corrupt", context):
             return False
         try:
             with open(path, "r+b") as fh:

@@ -4,9 +4,8 @@ A manifest records everything needed to reproduce (and to trust) a
 results artifact:
 
 * the exact **inputs** — refs/seed/scale/jobs, a content digest of every
-  :class:`~repro.params.SystemConfig` swept, and the content-addressed
-  trace-cache key of every trace simulated (the same key
-  :mod:`repro.trace.io` files traces under);
+  :class:`~repro.params.SystemConfig` swept, and the content key of
+  every trace simulated (:func:`repro.trace.io.trace_cache_key`);
 * the **environment** — package version and git SHA (best effort);
 * the **outputs** — per-cell counter digests, metrics snapshots, and the
   sweep-level metric aggregate;

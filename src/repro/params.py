@@ -62,10 +62,6 @@ SETTINGS: Dict[str, Setting] = {
     "REPRO_FAULTS": Setting(
         str, None, None, "`repro.faults`",
         "fault-injection schedule for chaos testing (see docs/ROBUSTNESS.md)"),
-    "REPRO_TRACE_CACHE": Setting(
-        str, None, None, "`repro.trace.io`",
-        "on-disk trace cache directory (unset: `$XDG_CACHE_HOME/repro/traces`, else "
-        "`~/.cache/repro/traces`)"),
     "REPRO_PROFILE": Setting(
         bool, False, None, "`repro.obs.profile`",
         "attach the stall profiler to every run (`0`, `false`, `no` and `off` do not)"),

@@ -13,12 +13,11 @@ key (benchmark, refs, seed, scale, format version).  Everything that
 * worker counts, retries, wall-clock timings.
 
 Entries are single JSON files named by their key, written and
-quarantined through the same :mod:`repro.durable` helpers as the trace
-cache (:mod:`repro.trace.io`) and digest-verified on read: a crashed
-writer can never leave a torn entry, a corrupt or tampered entry is renamed
-``*.corrupt`` for post-mortem and the cell transparently re-simulated,
-and concurrent writers racing on one key are harmless (last rename wins,
-both bodies are identical by determinism).
+quarantined through the :mod:`repro.durable` helpers and digest-verified
+on read: a crashed writer can never leave a torn entry, a corrupt or
+tampered entry is renamed ``*.corrupt`` for post-mortem and the cell
+transparently re-simulated, and concurrent writers racing on one key are
+harmless (last rename wins, both bodies are identical by determinism).
 """
 
 from __future__ import annotations
@@ -172,12 +171,12 @@ class ResultStore:
         key = result_key(config, benchmark, refs, seed, scale, profile=profile)
         path = self.path_for(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except OSError:
             self._note("misses")
             return None
         try:
-            body = json.loads(raw)
+            body = json.loads(raw)  # bytes that are not UTF-8: a ValueError
             if not isinstance(body, dict):
                 raise ValueError("entry is not an object")
             if body.get("store_version") != STORE_VERSION:

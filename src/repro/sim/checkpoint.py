@@ -54,10 +54,12 @@ RECOVERY_NAME = "recovery.jsonl"
 def read_run_header(run_dir: Union[str, Path]) -> Optional[dict]:
     """Best-effort read of a run directory's ``run.json``.
 
-    Returns ``None`` when the header is missing or unparsable — monitors
-    observing a directory mid-creation must tolerate both, never raise.
+    Returns ``None`` when the header is missing, unparsable or not a JSON
+    object — monitors observing a directory mid-creation must tolerate
+    all three, never raise.
     """
-    return read_json(Path(run_dir) / HEADER_NAME)
+    header = read_json(Path(run_dir) / HEADER_NAME)
+    return header if isinstance(header, dict) else None
 
 
 class SweepJournal:
@@ -109,6 +111,8 @@ class SweepJournal:
         if header_path.exists():
             try:
                 existing = json.loads(header_path.read_text(encoding="utf-8"))
+                if not isinstance(existing, dict):
+                    raise ValueError("not a JSON object")
             except (OSError, ValueError) as exc:
                 raise CheckpointError(
                     f"unreadable run header {header_path}: {exc}"

@@ -9,37 +9,34 @@ effect on the results: a parallel sweep is bit-identical to a serial one
 Mechanics:
 
 * cells are planned benchmark-major (the serial order) and chunked so one
-  worker runs all systems of one benchmark back to back, reusing its
-  in-process trace cache instead of regenerating the trace per cell;
-* the parent **pre-seeds the on-disk trace cache** (`repro.trace.io`)
-  before forking, so workers — even under a ``spawn`` start method, which
-  inherits no parent memory — load each trace once from disk rather than
-  regenerating it per process;
+  worker runs all systems of one benchmark back to back, generating the
+  trace once into its in-process cache instead of once per cell;
 * results come back keyed ``(system, benchmark)`` and are merged in plan
   order, so iteration order of the returned dict matches the serial path;
-* anything that prevents pooling (a platform without working
-  ``multiprocessing``, a sandboxed interpreter) degrades to the serial
-  path rather than failing the sweep.
+* one loop, :func:`_execute_cells`, runs every cell of every sweep: on a
+  pool's workers, or in this process when there is no pool (``jobs ==
+  1``), the pool cannot start (a platform without working
+  ``multiprocessing``, a sandboxed interpreter) or no worker is left.
 
 Workers belong to a :class:`WorkerPool`.  A ``repro sweep --jobs N``
 pool lives for one sweep; a service job thread keeps its pool across
-jobs (``kept=True``: spawned lazily, in-process trace cache only, reused
-only after a clean sweep — see the class).
+jobs (``kept=True``: spawned lazily, reused only after a clean sweep —
+see the class).
 
-Resilience (see ``docs/ROBUSTNESS.md``):
+Resilience (see ``docs/ROBUSTNESS.md``), wherever the cell runs:
 
 * each cell gets ``max_retries`` attempts with exponential backoff; a
-  transient failure (corrupt cache entry, injected fault, flaky I/O) is
-  retried rather than sinking the sweep, and exhaustion raises
+  transient failure (injected fault, flaky I/O) is retried rather than
+  sinking the sweep, and exhaustion raises
   :class:`~repro.errors.RetryExhaustedError` naming the exact cell;
 * an optional per-cell wall-clock timeout kills the wedged worker and
   retries the cell (:class:`~repro.errors.CellTimeoutError` as the last
-  error once retries run out);
+  error once retries run out); a cell run in this process has none;
 * a worker that dies mid-cell (OOM-killed, segfault, injected kill) is
   detected by the supervisor; its in-flight cell is re-dispatched and the
   rest of its chunk re-queued at no attempt cost.  A cell that keeps
-  dying with its workers falls back to running **serially in the parent**
-  — degrade-to-serial affects only that cell, never the whole sweep;
+  dying with its workers runs in this process instead — only that cell
+  leaves the pool, never the whole sweep;
 * every recovery action is recorded in a :class:`RecoveryLog` — counted
   for ``obs.metrics``, streamed to the run directory's
   ``recovery.jsonl`` and surfaced in the run manifest;
@@ -62,7 +59,6 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    Iterable,
     List,
     Mapping,
     NamedTuple,
@@ -73,7 +69,7 @@ from typing import (
 )
 
 from .. import faults
-from ..durable import JsonlSink, Note
+from ..durable import JsonlSink
 from ..errors import (
     CellTimeoutError,
     CheckpointError,
@@ -261,21 +257,18 @@ def chunk_cells(cells: Sequence[SweepCell], jobs: int) -> List[List[SweepCell]]:
 
 
 # ---------------------------------------------------------------------------
-# running one cell (shared by workers, the serial path, and serial degrade)
+# running one cell (in a worker, or in this process by _execute_cells)
 # ---------------------------------------------------------------------------
 
 
 def _attempt_cell(
     cell: SweepCell,
-    disk_cache: bool,
     attempt: int,
-    note: Note,
     timings: Optional[List[Tuple[str, float, float]]] = None,
 ) -> SimulationResult:
-    """One attempt at one cell, with the fault-injection sites armed;
-    trace-cache recovery actions go to ``note``.  With ``timings``, the
-    trace lookup (or generation) and the run are appended to it as
-    ``(span name, t0_unix, dur_s)``."""
+    """One attempt at one cell, with the fault-injection sites armed.
+    With ``timings``, the trace lookup (or generation) and the run are
+    appended to it as ``(span name, t0_unix, dur_s)``."""
     plan = faults.active_plan()
     if plan is not None:
         context = faults.cell_context(cell.system, cell.benchmark, cell.seed)
@@ -283,14 +276,7 @@ def _attempt_cell(
         plan.maybe_slow(context, attempt)
         plan.maybe_fail_cell(context, attempt)
     t0 = time.time()
-    trace = get_trace(
-        cell.benchmark,
-        refs=cell.refs,
-        seed=cell.seed,
-        scale=cell.scale,
-        disk_cache=disk_cache,
-        note=note,
-    )
+    trace = get_trace(cell.benchmark, refs=cell.refs, seed=cell.seed, scale=cell.scale)
     t1 = time.time()
     profiler = StallProfiler(cell.config) if cell.profile else None
     result = run_trace(cell.config, trace, system_name=cell.system, profiler=profiler)
@@ -311,40 +297,6 @@ _NONRETRYABLE_TYPES = frozenset(
         "SystemExit",
     }
 )
-
-
-def _run_cell_resilient(
-    cell: SweepCell,
-    policy: SweepPolicy,
-    recovery: RecoveryLog,
-    disk_cache: bool,
-) -> SimulationResult:
-    """Run one cell in this process, retrying transient failures."""
-    last: BaseException = RuntimeError("cell never attempted")
-    for attempt in range(policy.max_retries + 1):
-        try:
-            result = _attempt_cell(cell, disk_cache, attempt, recovery.note)
-            if attempt:
-                recovery.note(
-                    "cell_recovered", cell.system, cell.benchmark,
-                    f"succeeded on attempt {attempt + 1}",
-                )
-            return result
-        except (ConfigurationError, CheckpointError, KeyboardInterrupt):
-            raise
-        except Exception as exc:
-            last = exc
-            if attempt < policy.max_retries:
-                recovery.note(
-                    "cell_retry", cell.system, cell.benchmark,
-                    f"attempt {attempt + 1} failed: {exc!r}",
-                )
-                delay = policy.backoff_for(attempt)
-                if delay:
-                    time.sleep(delay)
-    raise RetryExhaustedError(
-        cell.system, cell.benchmark, cell.seed, policy.max_retries + 1, repr(last)
-    )
 
 
 def _cell_span(
@@ -378,31 +330,6 @@ def _note_simulated(metrics, spans, payloads: List[Dict[str, object]]) -> None:
             spans.add_raw(payload)
 
 
-def _run_cells_serial(
-    cells: Iterable[SweepCell],
-    policy: SweepPolicy,
-    recovery: RecoveryLog,
-    journal: Optional[SweepJournal],
-    disk_cache: bool,
-    should_abort: Optional[Callable[[], bool]] = None,
-    metrics=None,
-    spans=None,
-) -> Dict[Tuple[str, str], SimulationResult]:
-    out: Dict[Tuple[str, str], SimulationResult] = {}
-    for cell in cells:
-        if should_abort is not None and should_abort():
-            raise JobCancelledError(
-                f"sweep aborted before cell {cell.system}/{cell.benchmark}"
-            )
-        t0 = time.time()
-        result = _run_cell_resilient(cell, policy, recovery, disk_cache)
-        _note_simulated(metrics, spans, [_cell_span(cell, t0, "sweep")])
-        out[(cell.system, cell.benchmark)] = result
-        if journal is not None:
-            journal.append(result, cell.scale)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the supervised worker pool
 # ---------------------------------------------------------------------------
@@ -413,14 +340,13 @@ _POLL_S = 0.05
 _ORPHAN_CHECK_S = 1.0
 
 
-def _service_worker(worker_id: int, task_q, result_q, disk_cache: bool) -> None:
+def _service_worker(worker_id: int, task_q, result_q) -> None:
     """Worker loop: take a task (a list of cells), report per-cell results.
 
     Runs until it receives the ``None`` sentinel, or finds its parent
     gone.  Every cell is bracketed by a ``start`` message (so the parent
     can enforce wall-clock deadlines and attribute losses) and an
-    ``ok``/``err`` message; a task ends with ``idle``.  Trace-cache
-    recovery actions are forwarded as ``note``s.
+    ``ok``/``err`` message; a task ends with ``idle``.
     """
     import queue as queue_mod
 
@@ -434,9 +360,6 @@ def _service_worker(worker_id: int, task_q, result_q, disk_cache: bool) -> None:
             return False
         result_q.cancel_join_thread()  # nobody is left to read the buffer
         return True
-
-    def note(kind: str, detail: str = "") -> None:
-        result_q.put(("note", worker_id, kind, detail))
 
     proc = f"worker-{worker_id}"
     while True:
@@ -456,7 +379,7 @@ def _service_worker(worker_id: int, task_q, result_q, disk_cache: bool) -> None:
             try:
                 t0 = time.time()
                 timings: List[Tuple[str, float, float]] = []
-                result = _attempt_cell(cell, disk_cache, attempt, note, timings)
+                result = _attempt_cell(cell, attempt, timings)
                 # span payloads travel BEFORE the result: the supervisor's
                 # message loop exits once every cell is accounted for, and
                 # queue order per worker guarantees the spans are drained
@@ -510,15 +433,15 @@ def _repro_env() -> Dict[str, str]:
 class WorkerPool:
     """Supervised sweep workers, their task queues and one result queue.
 
+    Every worker generates the traces its cells need and keeps them in
+    its in-process cache (a forked worker also inherits its parent's).
     A pool either lives for one sweep — ``repro sweep --jobs N``: workers
-    from the default start method that share traces through the disk
-    cache, every one stopped when the sweep ends — or is **kept** by a
-    service job thread across its jobs (``kept=True``):
+    from the default start method, every one stopped when the sweep
+    ends — or is **kept** by a service job thread across its jobs
+    (``kept=True``):
 
     * its workers use the ``spawn`` start method (the server runs
       threads) and start at the first simulated cell, not before;
-    * they use only their in-process trace cache, like the serial path,
-      so a job writes no trace file;
     * after a clean sweep — every worker idle and alive, none lost,
       killed or timed out, the sweep not aborted — worker 0 stays for the
       next sweep and the extra workers of a ``jobs > 1`` sweep stop;
@@ -536,8 +459,6 @@ class WorkerPool:
 
     def __init__(self, kept: bool = False) -> None:
         self.kept = kept
-        #: workers share traces through the on-disk cache
-        self.disk_cache = not kept
         self.workers: Dict[int, _WorkerHandle] = {}
         self.result_q = None
         self._ctx = None
@@ -574,7 +495,7 @@ class WorkerPool:
             task_q = self._ctx.Queue()
             process = self._ctx.Process(
                 target=_service_worker,
-                args=(wid, task_q, self.result_q, self.disk_cache),
+                args=(wid, task_q, self.result_q),
                 daemon=True,
                 name=f"repro-sweep-{wid}",
             )
@@ -610,7 +531,7 @@ class WorkerPool:
 
         Safe from another thread while a sweep runs on the pool: its
         workers are killed, and the sweep's supervisor, unable to
-        respawn them, finishes the remaining cells serially.
+        respawn them, finishes the remaining cells in its own process.
         """
         with self._lock:
             self._closed = True
@@ -654,36 +575,48 @@ def _execute_cells(
     policy: SweepPolicy,
     recovery: RecoveryLog,
     journal: Optional[SweepJournal],
-    pool: WorkerPool,
+    pool: Optional[WorkerPool],
     should_abort: Optional[Callable[[], bool]] = None,
     metrics=None,
     spans=None,
 ) -> Dict[Tuple[str, str], SimulationResult]:
-    """Fan ``cells`` over ``pool``'s supervised workers with full fault
-    handling; the pool is released (kept or shut down) when this returns."""
+    """Run ``cells`` with full fault handling: the one cell loop of every
+    sweep.
+
+    With a ``pool``, cells fan over its supervised workers and the pool is
+    released (kept or shut down) when this returns.  A cell runs in this
+    process instead, booked and retried exactly like a worker's, when
+    there is no pool, the pool cannot start, no worker is left, or the
+    cell keeps taking its workers down.  Such a run has no wall-clock
+    timeout; ``should_abort`` is polled before it, and a
+    ``ConfigurationError`` or ``CheckpointError`` it raises propagates
+    as is.
+    """
     import queue as queue_mod
 
-    try:
-        pool.start(max(1, min(jobs, len(cells))))
-    except Exception as exc:
-        # sandboxed interpreter / no working multiprocessing / a closed
-        # pool: run the whole sweep serially rather than failing it
-        pool.end_sweep(clean=False)
-        recovery.note("pool_unavailable", detail=repr(exc))
-        return _run_cells_serial(
-            cells, policy, recovery, journal, disk_cache=pool.disk_cache,
-            should_abort=should_abort, metrics=metrics, spans=spans,
-        )
-    workers = pool.workers
-    result_q = pool.result_q
+    workers: Dict[int, _WorkerHandle] = {}
+    if pool is not None:
+        try:
+            pool.start(max(1, min(jobs, len(cells))))
+            workers = pool.workers
+        except Exception as exc:
+            # sandboxed interpreter / no working multiprocessing / a closed
+            # pool: run every cell here rather than failing the sweep
+            pool.end_sweep(clean=False)
+            pool = None
+            recovery.note("pool_unavailable", detail=repr(exc))
+    result_q = pool.result_q if pool is not None else None
 
     n = len(cells)
+    index = {(c.system, c.benchmark): i for i, c in enumerate(cells)}
     results: Dict[int, SimulationResult] = {}
     failed_attempts: Dict[int, int] = {}  # idx -> attempts consumed so far
     task_queue: Deque[List[Tuple[int, SweepCell, int]]] = deque(
-        [(_idx_of(cells, chunk)) for chunk in chunk_cells(cells, jobs)]
+        [(index[(c.system, c.benchmark)], c, 0) for c in chunk]
+        for chunk in chunk_cells(cells, jobs)
     )
     retry_heap: List[Tuple[float, int, int]] = []  # (ready_time, idx, attempt)
+    here: Deque[Tuple[int, SweepCell, int]] = deque()  # cells pinned to this process
     fatal: List[BaseException] = []
 
     def record_ok(idx: int, result: SimulationResult) -> None:
@@ -719,20 +652,14 @@ def _execute_cells(
             heapq.heappush(retry_heap, (time.monotonic() + delay, idx, used))
             return
         if kind == "lost":
-            # the cell keeps taking workers down with it — run it in the
-            # parent so only this cell degrades to serial, not the sweep
+            # the cell keeps taking workers down with it — run it in this
+            # process so only this cell leaves the pool, not the sweep
             recovery.note(
                 "cell_degraded_serial", cell.system, cell.benchmark,
                 f"after {used} worker loss(es)",
             )
-            try:
-                t0 = time.time()
-                result = _attempt_cell(cell, pool.disk_cache, used, recovery.note)
-                _note_simulated(metrics, spans, [_cell_span(cell, t0, "sweep")])
-                record_ok(idx, result)
-                return
-            except Exception as exc:
-                description = f"serial fallback failed: {exc!r}"
+            here.append((idx, cell, used))
+            return
         last: object = description
         if kind == "timeout":
             last = CellTimeoutError(
@@ -741,6 +668,30 @@ def _execute_cells(
         fatal.append(
             RetryExhaustedError(cell.system, cell.benchmark, cell.seed, used, last)
         )
+
+    def run_here() -> None:
+        """One attempt in this process at a pinned cell, else at the head
+        of the queue."""
+        if here:
+            idx, cell, attempt = here.popleft()
+        else:
+            task = task_queue[0]
+            idx, cell, attempt = task.pop(0)
+            if not task:
+                task_queue.popleft()
+        if idx in results:
+            return
+        t0 = time.time()
+        try:
+            result = _attempt_cell(cell, attempt)
+        except (ConfigurationError, CheckpointError):
+            raise
+        except Exception as exc:
+            name = type(exc).__name__
+            handle_failure(idx, attempt, "error", f"{name}: {exc}", name)
+            return
+        _note_simulated(metrics, spans, [_cell_span(cell, t0, "sweep")])
+        record_ok(idx, result)
 
     def dispatch() -> None:
         now = time.monotonic()
@@ -769,6 +720,10 @@ def _execute_cells(
         except Exception as exc:  # spawn exhaustion or a pool closed under us
             recovery.note("pool_unavailable", detail=repr(exc))
             del workers[wid]
+            if not workers:
+                recovery.note(
+                    "pool_unavailable", detail="all workers lost; finishing serially"
+                )
 
     def receive() -> List[tuple]:
         """Every queued message, blocking briefly on the first for pacing."""
@@ -812,8 +767,6 @@ def _execute_cells(
                 handle.idle = True
                 handle.items = {}
                 handle.started = None
-        elif kind == "note":
-            recovery.note(message[2], detail=message[3])
         elif kind == "span":
             # worker-measured wall clock of one cell (and its trace/run
             # children); a duplicate completion after a redispatch race
@@ -833,23 +786,14 @@ def _execute_cells(
                     f"sweep aborted with {len(results)}/{n} cell(s) complete"
                 )
             dispatch()
-            if not workers:
-                # every worker slot died unrecoverably: finish serially
-                remaining = [c for i, c in enumerate(cells) if i not in results]
-                recovery.note(
-                    "pool_unavailable", detail="all workers lost; finishing serially"
-                )
-                results.update(
-                    {
-                        _index_by_key(cells)[key]: res
-                        for key, res in _run_cells_serial(
-                            remaining, policy, recovery, journal,
-                            disk_cache=pool.disk_cache,
-                            should_abort=should_abort, metrics=metrics, spans=spans,
-                        ).items()
-                    }
-                )
-                break
+            if here or not workers:
+                # a cell runs here; never block on the result queue when
+                # no worker is left to write to it
+                if here or task_queue:
+                    run_here()
+                else:  # only retries waiting out their backoff
+                    time.sleep(max(0.0, retry_heap[0][0] - time.monotonic()))
+                continue
 
             for message in receive():
                 handle_message(message)
@@ -907,14 +851,16 @@ def _execute_cells(
         # a kept pool is reused only once every worker has reported idle,
         # which also leaves nothing of this sweep in the result queue
         deadline = time.monotonic() + 1.0
-        while (pool.kept and not fatal and time.monotonic() < deadline
+        while (pool is not None and pool.kept and not fatal
+               and time.monotonic() < deadline
                and not all(h.idle or not h.process.is_alive()
                            for h in workers.values())):
             for message in receive():
                 handle_message(message)
         clean = not fatal and not lost
     finally:
-        pool.end_sweep(clean)
+        if pool is not None:
+            pool.end_sweep(clean)
 
     if fatal:
         raise fatal[0]
@@ -922,17 +868,6 @@ def _execute_cells(
         (cell.system, cell.benchmark): results[idx]
         for idx, cell in enumerate(cells)
     }
-
-
-def _idx_of(
-    cells: Sequence[SweepCell], chunk: Sequence[SweepCell]
-) -> List[Tuple[int, SweepCell, int]]:
-    index = _index_by_key(cells)
-    return [(index[(c.system, c.benchmark)], c, 0) for c in chunk]
-
-
-def _index_by_key(cells: Sequence[SweepCell]) -> Dict[Tuple[str, str], int]:
-    return {(c.system, c.benchmark): i for i, c in enumerate(cells)}
 
 
 # ---------------------------------------------------------------------------
@@ -976,16 +911,17 @@ def run_parallel_sweep(
     journalled, so a resumed sweep reads the store again (and simulates a
     cell whose entry was evicted meanwhile).  A store read that finds
     corruption quarantines the entry and the cell transparently
-    re-simulates.  Every recovery action of the trace cache and the store
-    lands in ``recovery``.
+    re-simulates.  Every recovery action of the store lands in
+    ``recovery``.
 
     ``profile`` — attach a :class:`repro.obs.profile.StallProfiler` to
     every simulated cell, in whichever process runs it.
 
     ``pool`` — a kept :class:`WorkerPool` (a service job thread's): every
-    cell left to simulate runs on it, even a single one, with no trace
-    pre-seed.  Without one, ``jobs > 1`` runs on a pool that lives for
-    this sweep and ``jobs == 1`` runs serially in this process.
+    cell left to simulate runs on it, even a single one.  Without one,
+    ``jobs > 1`` runs on a pool that lives for this sweep, and ``jobs ==
+    1`` (or a single cell) runs in this process, through the same cell
+    loop.
 
     ``should_abort`` — an optional zero-argument callable polled between
     cells (and each supervisor tick).  When it turns true the sweep
@@ -1087,23 +1023,9 @@ def run_parallel_sweep(
                         )
                     continue
             todo.append(c)
-        if todo and pool is None and (jobs <= 1 or len(todo) <= 1):
-            done.update(_run_cells_serial(
-                todo, policy, recovery, journal, disk_cache=False,
-                should_abort=should_abort, metrics=metrics, spans=spans,
-            ))
-        elif todo:
-            if pool is None:
+        if todo:
+            if pool is None and jobs > 1 and len(todo) > 1:
                 pool = WorkerPool()
-                # Pre-seed the disk cache so no worker regenerates a trace.
-                # Under the default fork start method workers additionally
-                # inherit the parent's warm in-process cache for free.
-                for bench in {c.benchmark for c in todo}:
-                    try:
-                        get_trace(bench, refs=refs, seed=seed, scale=scale,
-                                  disk_cache=True, note=recovery.note)
-                    except OSError:
-                        pass  # workers fall back to generating it themselves
             done.update(_execute_cells(
                 todo, jobs, policy, recovery, journal, pool,
                 should_abort=should_abort, metrics=metrics, spans=spans,

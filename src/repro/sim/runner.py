@@ -3,11 +3,11 @@
 
 Traces are cached per (benchmark, refs, seed, scale, n_procs) within the
 process, since every figure sweeps many systems over identical traces —
-exactly as the paper's trace-driven methodology does.  The in-process
-cache is LRU-bounded (:data:`TRACE_CACHE_MAX` entries) so long sweeps over
-many trace shapes cannot grow memory without limit; an optional on-disk
-cache (see :mod:`repro.trace.io`) shares generated traces across
-processes, which the parallel sweep engine relies on.
+exactly as the paper's trace-driven methodology does.  The cache is
+LRU-bounded (:data:`TRACE_CACHE_MAX` entries) so long sweeps over many
+trace shapes cannot grow memory without limit.  Nothing is cached on
+disk: generating a trace costs less than writing it, and a sweep's
+worker processes generate (or, forked, inherit) the traces they use.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import time
 from collections import OrderedDict
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from ..durable import Note, ignore_note
 from ..errors import ConfigurationError
 from ..obs.metrics import merge_snapshots, run_metrics
 from ..obs.profile import StallProfiler
@@ -45,40 +44,18 @@ def get_trace(
     seed: int = 1,
     scale: float = DEFAULT_SCALE,
     n_procs: int = 32,
-    disk_cache: bool = False,
-    note: Note = ignore_note,
 ) -> Trace:
-    """Generate (or fetch from cache) one benchmark trace.
-
-    With ``disk_cache=True`` the content-addressed on-disk cache is
-    consulted before generating, and a freshly generated trace is stored
-    there — the mechanism parallel sweep workers use to share traces.
-    The disk cache's recovery actions are reported to ``note``.
-    """
+    """Generate (or fetch from the in-process cache) one benchmark trace."""
     key = (benchmark.lower(), refs, seed, scale, n_procs)
     trace = _trace_cache.get(key)
     if trace is None:
-        spec = TraceSpec(
+        trace = generate_trace(TraceSpec(
             benchmark=benchmark.lower(),
             refs=refs,
             seed=seed,
             scale=scale,
             n_procs=n_procs,
-        )
-        if disk_cache:
-            from ..trace import io as trace_io
-
-            trace = trace_io.load_cached_trace(spec, note)
-            if trace is None:
-                trace = generate_trace(spec)
-                try:
-                    trace_io.store_cached_trace(spec, trace, note)
-                except OSError as exc:
-                    # a full disk (or an injected I/O fault) must not sink
-                    # the run: continue with the in-memory trace, uncached
-                    note("trace_cache_skipped", detail=f"{benchmark}: {exc}")
-        else:
-            trace = generate_trace(spec)
+        ))
         _trace_cache[key] = trace
         if len(_trace_cache) > TRACE_CACHE_MAX:
             _trace_cache.popitem(last=False)

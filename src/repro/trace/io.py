@@ -1,23 +1,18 @@
 """Trace persistence: compressed ``.npz`` with a JSON metadata sidecar field.
 
-Generating a trace is cheap, but experiments sweep many systems over the
-same trace; saving lets a bench generate once and reuse across processes.
-
-On top of explicit :func:`save_trace`/:func:`load_trace` there is a
-**content-addressed disk cache**: a :class:`~repro.trace.record.TraceSpec`
-hashes to a stable file name under :func:`trace_cache_dir`, so parallel
-sweep workers and repeated figure runs load each trace once instead of
-regenerating it per process.  Set ``REPRO_TRACE_CACHE`` to move the cache
-(e.g. to a tmpfs in CI) and :func:`clear_disk_trace_cache` to empty it.
+Sweeps generate each trace once per process and keep it in memory
+(:func:`repro.sim.runner.get_trace`); this module writes a trace out
+for other tools (``repro trace --out``) and reads it back.
 
 Integrity: every file carries a SHA-256 **payload digest** over the
 reference arrays and metadata, written with :func:`repro.durable.write_atomic`
-so a killed worker can never leave a half-written file for other workers
-to load.  :func:`load_trace` verifies the digest and
-raises :class:`~repro.errors.CorruptTraceError` on mismatch; the disk
-cache converts any corruption into **quarantine + regenerate** (the bad
-file is renamed ``*.corrupt`` for post-mortem, the caller regenerates)
-instead of crashing the sweep worker that tripped over it.
+so a crash mid-write never leaves a torn file.  :func:`load_trace`
+verifies the digest and raises :class:`~repro.errors.CorruptTraceError`
+on mismatch.
+
+:func:`trace_cache_key` names one generation request by content; run
+manifests record it as each cell's ``trace_key`` and the result store
+builds its keys on it.
 """
 
 from __future__ import annotations
@@ -27,13 +22,12 @@ import io
 import json
 import zipfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from ..durable import Note, cache_dir, ignore_note, quarantine, remove_files, write_atomic
+from ..durable import write_atomic
 from ..errors import CorruptTraceError, TraceError
-from ..params import setting
 from .record import Trace, TraceSpec
 
 #: bumped to 2 when the payload digest field was added
@@ -124,76 +118,14 @@ def load_trace(path: Union[str, Path]) -> Trace:
     )
 
 
-# ---------------------------------------------------------------------------
-# content-addressed disk cache
-# ---------------------------------------------------------------------------
-
-
-def trace_cache_dir() -> Path:
-    """Directory holding cached traces (not created until first store):
-    ``$REPRO_TRACE_CACHE``, else the ``traces`` :func:`repro.durable.cache_dir`."""
-    return cache_dir(setting("REPRO_TRACE_CACHE"), "traces")
-
-
 def trace_cache_key(spec: TraceSpec) -> str:
     """Stable content hash for one generation request.
 
     Every field that influences the generated arrays participates, plus the
-    file format version so stale cache entries are never misread after a
-    format change.
+    file format version, so a format change moves every key.
     """
     canon = (
         f"v{_FORMAT_VERSION}|{spec.benchmark.lower()}|refs={spec.refs}"
         f"|seed={spec.seed}|procs={spec.n_procs}|scale={spec.scale!r}"
     )
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:32]
-
-
-def trace_cache_path(spec: TraceSpec) -> Path:
-    return trace_cache_dir() / f"{spec.benchmark.lower()}-{trace_cache_key(spec)}.npz"
-
-
-def load_cached_trace(spec: TraceSpec, note: Note = ignore_note) -> Optional[Trace]:
-    """The cached trace for ``spec``, or None on miss/corruption.
-
-    A corrupt or version-skewed entry is **quarantined** (renamed
-    ``*.corrupt``) rather than raised: the caller can always regenerate,
-    so the cache must never brick a sweep — but the bad bytes are kept
-    around so the corruption can be diagnosed.  Every quarantine is
-    reported to ``note`` as ``trace_quarantined``.
-    """
-    path = trace_cache_path(spec)
-    if not path.exists():
-        return None
-    try:
-        return load_trace(path)
-    except (TraceError, OSError, ValueError) as exc:
-        if quarantine(path) == "renamed":
-            note("trace_quarantined", detail=f"{path.name}: {exc}")
-        return None
-
-
-def store_cached_trace(spec: TraceSpec, trace: Trace, note: Note = ignore_note) -> Path:
-    """Persist ``trace`` under its content key; returns the cache path.
-
-    The write is atomic (:func:`save_trace`), so concurrent workers racing
-    to store the same trace cannot leave a torn file behind.  An injected
-    corruption is reported to ``note`` as ``fault_injected``.
-    """
-    from .. import faults
-
-    path = trace_cache_path(spec)
-    plan = faults.active_plan()
-    if plan is not None:
-        plan.maybe_io_error(f"store:{trace_cache_key(spec)}")
-    save_trace(trace, path)
-    if plan is not None and plan.maybe_corrupt_file(
-        path, f"corrupt:{trace_cache_key(spec)}"
-    ):
-        note("fault_injected", detail=f"corrupted cache entry {path.name}")
-    return path
-
-
-def clear_disk_trace_cache() -> int:
-    """Delete every cached trace (and quarantined entry); returns the count."""
-    return remove_files(trace_cache_dir(), ("*.npz", "*.npz.corrupt"))

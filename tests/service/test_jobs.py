@@ -21,7 +21,6 @@ SPEC = {"systems": ["vb"], "benchmarks": ["fft"], "refs": REFS, "seed": 5,
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
     clear_trace_cache()
     yield
     clear_trace_cache()

@@ -23,7 +23,6 @@ SEED = 5
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
     clear_trace_cache()
     yield
     clear_trace_cache()
@@ -165,6 +164,21 @@ class TestQuarantine:
         again = sweep(["vb"], ["fft"], refs=REFS, seed=SEED, scale=SCALE,
                       result_store=store)
         assert again[("vb", "fft")].counters == results[("vb", "fft")].counters
+        assert store.stats()["quarantined"] == 1
+
+    def test_fault_mangled_entry_quarantined(self, store):
+        # the store-corrupt fault flips a byte of the ASCII JSON, so the
+        # entry is no longer UTF-8: a miss and a quarantine, not a crash
+        from repro.faults import FaultPlan
+
+        fresh = _simulate()
+        store.put(fresh, SCALE, refs=REFS, seed=SEED)
+        path = self._entry_path(store, fresh)
+        plan = FaultPlan(seed=1, rates={"store-corrupt": 1.0})
+        assert plan.maybe_corrupt_store(path, "store-entry/x")
+        assert store.get(fresh.config, "fft", refs=REFS, seed=SEED,
+                         scale=SCALE) is None
+        assert path.with_name(path.name + ".corrupt").exists()
         assert store.stats()["quarantined"] == 1
 
 

@@ -28,7 +28,6 @@ SCALE = 0.02
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
     clear_trace_cache()
     yield
@@ -141,6 +140,16 @@ class TestJournalRoundTrip:
         run.mkdir()
         (run / "run.json").write_text("{not json")
         with pytest.raises(CheckpointError):
+            SweepJournal.open(
+                run, refs=REFS, seed=1, scale=SCALE,
+                systems=SYSTEMS, benchmarks=BENCHES,
+            )
+
+    def test_header_that_is_not_an_object_raises(self, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "run.json").write_text("[1]")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
             SweepJournal.open(
                 run, refs=REFS, seed=1, scale=SCALE,
                 systems=SYSTEMS, benchmarks=BENCHES,

@@ -9,7 +9,7 @@ import errno
 
 import pytest
 
-from repro import durable, faults
+from repro import faults
 from repro.errors import (
     ConfigurationError,
     CorruptTraceError,
@@ -18,7 +18,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, cell_context
 from repro.sim.parallel import RecoveryLog
-from repro.sim.runner import clear_trace_cache, get_trace, sweep
+from repro.sim.runner import clear_trace_cache, sweep
 from repro.trace import io as trace_io
 from repro.trace.record import TraceSpec
 from repro.trace.synthetic import generate_trace
@@ -31,8 +31,7 @@ SCALE = 0.02
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch, tmp_path):
-    """Each test gets its own disk trace cache and a clean fault state."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+    """Each test gets a clean fault state."""
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
     for var in ("REPRO_FAULTS", "REPRO_MAX_RETRIES", "REPRO_CELL_TIMEOUT"):
         monkeypatch.delenv(var, raising=False)
@@ -52,9 +51,9 @@ def _isolated(monkeypatch, tmp_path):
 
 class TestFaultPlanGrammar:
     def test_parse_full_grammar(self):
-        plan = FaultPlan.parse("seed=7;cell=0.5@2;slow=0.25:1.5;io=1")
+        plan = FaultPlan.parse("seed=7;cell=0.5@2;slow=0.25:1.5;disk-full=1")
         assert plan.seed == 7
-        assert plan.rates == {"cell": 0.5, "slow": 0.25, "io": 1.0}
+        assert plan.rates == {"cell": 0.5, "slow": 0.25, "disk-full": 1.0}
         assert plan.attempts == {"cell": 2}
         assert plan.slow_s == 1.5
 
@@ -64,7 +63,7 @@ class TestFaultPlanGrammar:
         assert a.spec() == b.spec()
 
     def test_spec_round_trips(self):
-        plan = FaultPlan.parse("seed=9;cell=0.4@3;corrupt=1;slow=0.2:0.7")
+        plan = FaultPlan.parse("seed=9;cell=0.4@3;store-corrupt=1;slow=0.2:0.7")
         assert FaultPlan.parse(plan.spec()).spec() == plan.spec()
 
     @pytest.mark.parametrize(
@@ -101,12 +100,6 @@ class TestFaultPlanGrammar:
         assert plan.should("cell", "ctx", 0)
         assert plan.should("cell", "ctx", 1)
         assert not plan.should("cell", "ctx", 2)
-
-    def test_io_fires_once_per_context_per_process(self):
-        plan = FaultPlan(seed=1, rates={"io": 1.0})
-        assert plan.should("io", "store:k", 0)
-        assert not plan.should("io", "store:k", 0)  # tally exhausted
-        assert plan.should("io", "store:other", 0)
 
     def test_maybe_fail_cell_raises_injected_fault(self):
         plan = FaultPlan(seed=1, rates={"cell": 1.0})
@@ -210,47 +203,6 @@ class TestTraceIntegrity:
         trace_io.save_trace(trace, tmp_path / "t.npz")
         assert [p.name for p in tmp_path.iterdir()] == ["t.npz"]
 
-    def test_corrupt_cache_entry_quarantined_and_regenerated(self):
-        spec = _small_spec()
-        trace = generate_trace(spec)
-        trace_io.store_cached_trace(spec, trace)
-        path = trace_io.trace_cache_path(spec)
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-
-        notes = []
-        assert trace_io.load_cached_trace(
-            spec, note=lambda kind, detail: notes.append(kind)
-        ) is None
-
-        assert not path.exists()
-        assert durable.quarantine_path(path).exists()
-        assert "trace_quarantined" in notes
-
-        # the caller regenerates and re-stores; the cache heals
-        trace_io.store_cached_trace(spec, trace)
-        restored = trace_io.load_cached_trace(spec)
-        assert restored is not None and len(restored) == len(trace)
-
-    def test_prefilled_quarantine_name_falls_back_to_unlink(self):
-        # a DIRECTORY squatting on the .corrupt name makes the rename
-        # fail; quarantine falls back to deleting the bad entry
-        spec = _small_spec()
-        trace = generate_trace(spec)
-        path = trace_io.store_cached_trace(spec, trace)
-        path.write_bytes(b"not an archive")
-        durable.quarantine_path(path).mkdir()
-        assert trace_io.load_cached_trace(spec) is None
-        assert not path.exists()  # deleted despite the blocked rename
-
-        # the next cached read regenerates and re-stores the trace
-        clear_trace_cache()
-        regenerated = get_trace(spec.benchmark, refs=spec.refs, seed=spec.seed,
-                                scale=spec.scale, disk_cache=True)
-        assert (regenerated.addrs == trace.addrs).all()
-        assert trace_io.load_cached_trace(spec) is not None
-
 
 # ---------------------------------------------------------------------------
 # sweep-level recovery (the integration paths ISSUE.md pins)
@@ -344,39 +296,6 @@ class TestSweepFaultRecovery:
                 cell_timeout=0.4,
                 max_retries=1,
             )
-
-    def test_io_fault_degrades_cache_not_results(self, monkeypatch):
-        expected = _baseline()
-        clear_trace_cache()
-        monkeypatch.setenv("REPRO_FAULTS", "seed=7;io=1.0")
-        recovery = RecoveryLog()
-        actual = sweep(
-            SYSTEMS, BENCHES, refs=REFS, scale=SCALE, jobs=2, recovery=recovery
-        )
-        _assert_identical(expected, actual)
-        assert recovery.counts.get("trace_cache_skipped", 0) >= 1
-
-    def test_corrupted_cache_quarantined_on_next_run(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "seed=7;corrupt=1.0")
-        rec1 = RecoveryLog()
-        first = sweep(
-            SYSTEMS, BENCHES, refs=REFS, scale=SCALE, jobs=2, recovery=rec1
-        )
-        assert rec1.counts.get("fault_injected", 0) >= 1
-
-        # a fresh run over the same (corrupted) disk cache must quarantine
-        # and regenerate, not crash and not return wrong numbers
-        clear_trace_cache()
-        faults._cached_env = None
-        faults._cached_plan = None
-        rec2 = RecoveryLog()
-        second = sweep(
-            SYSTEMS, BENCHES, refs=REFS, scale=SCALE, jobs=2, recovery=rec2
-        )
-        _assert_identical(first, second)
-        assert rec2.counts.get("trace_quarantined", 0) >= 1
-        cache_dir = trace_io.trace_cache_dir()
-        assert any(p.suffix == ".corrupt" for p in cache_dir.iterdir())
 
     def test_kill_fault_never_fires_outside_workers(self, monkeypatch):
         # a serial sweep runs cells in this very process; kill=1.0 must

@@ -65,6 +65,15 @@ class TestSweepProgress:
         assert not p.complete
         assert "no run.json" in p.render()
 
+    def test_header_that_is_not_an_object_reads_as_missing(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / HEADER_NAME).write_text("[1]")
+        assert read_run_header(run_dir) is None
+        p = SweepProgress(run_dir)
+        assert not p.header_present and p.total_cells == 0
+        assert "no run.json" in p.render()
+
     def test_torn_journal_lines_are_skipped(self, tmp_path):
         run_dir = tmp_path / "run"
         run_sweep(run_dir)

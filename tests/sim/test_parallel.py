@@ -93,50 +93,21 @@ class TestParallelEquivalence:
 
 
 class TestDiskTraceCache:
-    def test_round_trip_identical_counters(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    def test_round_trip_identical_counters(self, tmp_path):
         spec = TraceSpec(benchmark="lu", refs=REFS, seed=1, scale=0.125)
         fresh = generate_trace(spec)
-        trace_io.store_cached_trace(spec, fresh)
-        cached = trace_io.load_cached_trace(spec)
-        assert cached is not None
+        trace_io.save_trace(fresh, tmp_path / "lu.npz")
+        cached = trace_io.load_trace(tmp_path / "lu.npz")
         config = resolve_sweep_configs(["vb"])["vb"]
         a = run_trace(config, fresh, system_name="vb")
         b = run_trace(config, cached, system_name="vb")
         assert a.counters == b.counters
-
-    def test_get_trace_populates_and_reuses_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        clear_trace_cache()
-        get_trace("lu", refs=REFS, disk_cache=True)
-        files = list(tmp_path.glob("*.npz"))
-        assert len(files) == 1
-        clear_trace_cache()
-        again = get_trace("lu", refs=REFS, disk_cache=True)
-        assert list(tmp_path.glob("*.npz")) == files
-        assert again.name == "lu" and len(again) >= REFS
 
     def test_key_distinguishes_specs(self):
         a = trace_io.trace_cache_key(TraceSpec(benchmark="lu", refs=1000))
         b = trace_io.trace_cache_key(TraceSpec(benchmark="lu", refs=2000))
         c = trace_io.trace_cache_key(TraceSpec(benchmark="lu", refs=1000, seed=2))
         assert len({a, b, c}) == 3
-
-    def test_clear_disk_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        spec = TraceSpec(benchmark="lu", refs=REFS)
-        trace_io.store_cached_trace(spec, generate_trace(spec))
-        assert trace_io.clear_disk_trace_cache() == 1
-        assert trace_io.load_cached_trace(spec) is None
-
-    def test_corrupt_entry_regenerates(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        spec = TraceSpec(benchmark="lu", refs=REFS)
-        path = trace_io.trace_cache_path(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"not an npz")
-        assert trace_io.load_cached_trace(spec) is None
-        assert not path.exists()  # the bad entry was dropped
 
 
 class TestBoundedTraceCache:

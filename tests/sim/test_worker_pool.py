@@ -27,7 +27,6 @@ needs_proc = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
     clear_trace_cache()
     yield
@@ -173,8 +172,7 @@ time.sleep(120)
 @needs_proc
 class TestParentDeath:
     def _env(self, tmp_path, **extra):
-        env = dict(os.environ, PYTHONPATH=SRC,
-                   REPRO_TRACE_CACHE=str(tmp_path / "cache"))
+        env = dict(os.environ, PYTHONPATH=SRC)
         env.update(extra)
         return env
 
