@@ -1,8 +1,9 @@
 """Shared fixtures for the figure-regeneration benchmarks.
 
-Each ``bench_figNN`` module runs its experiment driver exactly once under
+``bench_experiments.py`` runs each experiment driver exactly once under
 pytest-benchmark (``pedantic`` with one round — the driver itself sweeps a
-systems x benchmarks matrix) and prints the paper-shaped table.
+systems x benchmarks matrix) and prints the paper-shaped table; select one
+with ``-k <name>`` (``fig09``, ``table1``, ``abl_ostate``, ...).
 
 Fidelity is controlled by ``REPRO_BENCH_REFS`` (trace length per
 benchmark; default 200k here to keep a full `pytest benchmarks/` run in

@@ -771,7 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    p.add_argument("name", help="fig03..fig11, table1..table3, or 'all'")
+    p.add_argument("name", help="fig03..fig11, table1..table3, abl_ostate, abl_decrement, "
+                                "abl_counter_sharing, abl_nc_size, or 'all'")
     p.add_argument("--refs", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the figure's sweeps "

@@ -68,25 +68,24 @@ def quarantine_path(path: PathLike) -> Path:
     return path.with_name(path.name + ".corrupt")
 
 
-def quarantine(path: PathLike) -> Optional[str]:
+def quarantine(path: PathLike) -> bool:
     """Move a corrupt file out of its reader's way.
 
-    Returns ``"renamed"`` after renaming it to :func:`quarantine_path` for
-    post-mortem; ``"deleted"`` when the rename failed (read-only root, or a
-    directory squatting on the name) and the file was deleted instead;
-    ``None`` when both failed and the file stays.
+    Renames it to :func:`quarantine_path` for post-mortem, or deletes it
+    when the rename fails (read-only root, or a directory squatting on the
+    name).  Returns False when both failed and the file stays.
     """
     path = Path(path)
     try:
         os.replace(path, quarantine_path(path))
-        return "renamed"
+        return True
     except OSError:
         pass
     try:
         path.unlink()
-        return "deleted"
+        return True
     except OSError:
-        return None
+        return False
 
 
 class JsonlSink:

@@ -4,22 +4,17 @@ Each ``figNN.run(refs=None, seed=1)`` regenerates one evaluation figure
 (same rows, columns, and metric as the paper) and returns an
 :class:`~repro.experiments.common.ExperimentResult` whose ``table`` is a
 paper-shaped text rendering.  ``tables.table1/2/3()`` regenerate the
-structural tables.  ``benchmarks/`` wraps these in pytest-benchmark.
+structural tables.  Every figure and ablation simulates through one
+:func:`~repro.experiments.common.run_matrix` call, so each honours
+``REPRO_JOBS``, ``REPRO_RUN_DIR`` and ``REPRO_MANIFEST_DIR``.
+``benchmarks/bench_experiments.py`` wraps them in pytest-benchmark.
 
 >>> from repro.experiments import fig09
 >>> print(fig09.run(refs=100_000))  # doctest: +SKIP
 """
 
 from . import ablations, fig03, fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, tables
-from .common import (
-    BENCHES,
-    ExperimentResult,
-    default_jobs,
-    default_refs,
-    merge_timings,
-    run_matrix,
-    run_matrix_timed,
-)
+from .common import BENCHES, ExperimentResult, default_jobs, default_refs, run_matrix
 
 #: experiment id -> callable returning an ExperimentResult
 ALL_EXPERIMENTS = {
@@ -49,8 +44,6 @@ __all__ = [
     "default_refs",
     "default_jobs",
     "run_matrix",
-    "run_matrix_timed",
-    "merge_timings",
     "fig03",
     "fig04",
     "fig05",

@@ -20,36 +20,31 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..analysis.report import format_grid
 from ..params import BusProtocol
-from ..sim.runner import simulate
-from .common import BENCHES, ExperimentResult, default_refs
+from ..system.builder import system_config
+from .common import ExperimentResult, bench_grid, run_matrix
 
 
 def ostate(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
     """MESIR vs. MOESIR: does the dirty-shared O state matter?"""
-    n = refs if refs is not None else default_refs()
+    results = run_matrix(
+        {
+            "mesir": system_config("vb", protocol=BusProtocol.MESIR),
+            "moesir": system_config("vb", protocol=BusProtocol.MOESIR),
+        },
+        refs=refs, seed=seed,
+    )
     data: Dict[Tuple[str, str], float] = {}
-    results = {}
-    for bench in BENCHES:
-        for label, protocol in (
-            ("mesir", BusProtocol.MESIR),
-            ("moesir", BusProtocol.MOESIR),
-        ):
-            r = simulate("vb", bench, refs=n, seed=seed, protocol=protocol)
-            results[(label, bench)] = r
-            data[(label, bench)] = r.stall_per_reference
-            data[(label + ":wb", bench)] = float(
-                r.counters.writebacks_absorbed + r.counters.writebacks_remote
-            )
+    for (label, bench), r in results.items():
+        data[(label, bench)] = r.stall_per_reference
+        data[(label + ":wb", bench)] = float(
+            r.counters.writebacks_absorbed + r.counters.writebacks_remote
+        )
     cols = ("mesir", "moesir", "mesir:wb", "moesir:wb")
-    table = format_grid(
+    table = bench_grid(
         "Victim-NC system `vb`: remote read stall per reference (cycles) and "
         "write-backs, MESIR vs. MOESIR",
-        list(BENCHES),
-        list(cols),
-        lambda b, c: data[(c, b)],
-        col_width=11,
+        cols, data, col_width=11,
     )
     return ExperimentResult(
         "abl_ostate",
@@ -64,26 +59,22 @@ def ostate(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
 
 def decrement(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
     """Counter decrement-on-invalidation refinement (off in the paper)."""
-    n = refs if refs is not None else default_refs()
+    results = run_matrix(
+        {
+            "base": system_config("ncp5"),
+            "decrement": system_config("ncp5", decrement_on_invalidation=True),
+        },
+        refs=refs, seed=seed,
+    )
     data: Dict[Tuple[str, str], float] = {}
-    results = {}
-    for bench in BENCHES:
-        for label, flag in (("base", False), ("decrement", True)):
-            r = simulate(
-                "ncp5", bench, refs=n, seed=seed,
-                decrement_on_invalidation=flag,
-            )
-            results[(label, bench)] = r
-            data[(label, bench)] = r.miss_ratio + r.relocation_overhead_ratio
-            data[(label + ":rel", bench)] = float(r.counters.pc_relocations)
+    for (label, bench), r in results.items():
+        data[(label, bench)] = r.miss_ratio + r.relocation_overhead_ratio
+        data[(label + ":rel", bench)] = float(r.counters.pc_relocations)
     cols = ("base", "decrement", "base:rel", "decrement:rel")
-    table = format_grid(
+    table = bench_grid(
         "ncp5: miss%+overhead and relocation counts, with/without the "
         "Sec. 3.4 counter decrement",
-        list(BENCHES),
-        list(cols),
-        lambda b, c: data[(c, b)],
-        col_width=14,
+        cols, data, col_width=14,
     )
     return ExperimentResult(
         "abl_decrement",
@@ -97,25 +88,20 @@ def decrement(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
 
 def counter_sharing(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
     """How robust are vxp's per-set counters to being shared?"""
-    n = refs if refs is not None else default_refs()
     sharings = (1, 2, 4, 8)
+    results = run_matrix(
+        {f"share{sh}": system_config("vxp5", nc_counter_sharing=sh) for sh in sharings},
+        refs=refs, seed=seed,
+    )
     data: Dict[Tuple[str, str], float] = {}
-    results = {}
-    for bench in BENCHES:
-        for sh in sharings:
-            r = simulate("vxp5", bench, refs=n, seed=seed, nc_counter_sharing=sh)
-            label = f"share{sh}"
-            results[(label, bench)] = r
-            data[(label, bench)] = r.stall_per_reference
-            data[(f"{label}:rel", bench)] = float(r.counters.pc_relocations)
+    for (label, bench), r in results.items():
+        data[(label, bench)] = r.stall_per_reference
+        data[(f"{label}:rel", bench)] = float(r.counters.pc_relocations)
     cols = [f"share{sh}" for sh in sharings] + [f"share{sh}:rel" for sh in sharings]
-    table = format_grid(
+    table = bench_grid(
         "vxp5: remote read stall per reference (cycles) and relocations vs. "
         "NC sets per counter",
-        list(BENCHES),
-        cols,
-        lambda b, c: data[(c, b)],
-        col_width=11,
+        cols, data, col_width=11,
     )
     return ExperimentResult(
         "abl_counter_sharing",
@@ -130,25 +116,18 @@ def counter_sharing(refs: Optional[int] = None, seed: int = 1) -> ExperimentResu
 
 def nc_size(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
     """Fig. 2's size axis: victim-NC capacity vs. remote stall."""
-    n = refs if refs is not None else default_refs()
     sizes = (1024, 4096, 16 * 1024, 65536)
-    data: Dict[Tuple[str, str], float] = {}
-    results = {}
-    for bench in BENCHES:
-        ref = simulate("dinf", bench, refs=n, seed=seed)
-        for size in sizes:
-            label = f"vb{size // 1024}k"
-            r = simulate("vb", bench, refs=n, seed=seed, nc_size=size)
-            results[(label, bench)] = r
-            data[(label, bench)] = r.normalized_stall(ref)
-    cols = [f"vb{s // 1024}k" for s in sizes]
-    table = format_grid(
+    columns = {f"vb{s // 1024}k": system_config("vb", nc_size=s) for s in sizes}
+    matrix = run_matrix({"dinf": system_config("dinf"), **columns}, refs=refs, seed=seed)
+    results = {key: r for key, r in matrix.items() if key[0] != "dinf"}
+    data: Dict[Tuple[str, str], float] = {
+        (label, bench): r.normalized_stall(matrix[("dinf", bench)])
+        for (label, bench), r in results.items()
+    }
+    table = bench_grid(
         "Victim-NC size sweep: remote read stall normalised to an infinite "
         "DRAM NC",
-        list(BENCHES),
-        cols,
-        lambda b, c: data[(c, b)],
-        col_width=9,
+        columns, data, col_width=9,
     )
     return ExperimentResult(
         "abl_nc_size",

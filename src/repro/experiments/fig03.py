@@ -10,13 +10,10 @@ misses).
 
 from __future__ import annotations
 
-import time
-
 from typing import Dict, Optional, Tuple
 
-from ..analysis.report import format_grid
-from ..sim.runner import simulate
-from .common import BENCHES, ExperimentResult, default_refs, matrix_timing
+from ..system.builder import system_config
+from .common import ExperimentResult, bench_grid, run_matrix
 
 ASSOCS = (1, 2, 4)
 NC_SIZES = (0, 1024, 16 * 1024)  # 0 = no NC
@@ -28,32 +25,21 @@ def _label(assoc: int, nc_size: int) -> str:
 
 
 def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
-    n = refs if refs is not None else default_refs()
-    start = time.perf_counter()
-    results = {}
-    data: Dict[Tuple[str, str], float] = {}
-    for bench in BENCHES:
-        for assoc in ASSOCS:
-            for nc_size in NC_SIZES:
-                label = _label(assoc, nc_size)
-                if nc_size == 0:
-                    r = simulate("base", bench, refs=n, seed=seed, cache_assoc=assoc)
-                else:
-                    r = simulate(
-                        "vb", bench, refs=n, seed=seed,
-                        cache_assoc=assoc, nc_size=nc_size,
-                    )
-                results[(label, bench)] = r
-                data[(label, bench)] = r.miss_ratio
-
-    timing = matrix_timing(results, time.perf_counter() - start, 1)
-    cols = [_label(a, s) for a in ASSOCS for s in NC_SIZES]
-    table = format_grid(
+    columns = {
+        _label(assoc, nc_size): (
+            system_config("vb", cache_assoc=assoc, nc_size=nc_size)
+            if nc_size else system_config("base", cache_assoc=assoc)
+        )
+        for assoc in ASSOCS
+        for nc_size in NC_SIZES
+    }
+    results = run_matrix(columns, refs=refs, seed=seed)
+    data: Dict[Tuple[str, str], float] = {
+        key: r.miss_ratio for key, r in results.items()
+    }
+    table = bench_grid(
         "Cluster miss ratio (% of shared refs); L1 assoc x victim-NC size",
-        list(BENCHES),
-        cols,
-        lambda b, c: data[(c, b)],
-        col_width=9,
+        columns, data, col_width=9,
     )
     return ExperimentResult(
         "fig03",
@@ -61,5 +47,4 @@ def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
         table,
         data,
         results,
-        timing=timing,
     )

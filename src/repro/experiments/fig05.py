@@ -13,13 +13,14 @@ from typing import Dict, Optional, Tuple
 
 from ..analysis.metrics import stacked_miss_bars
 from ..analysis.report import format_stacked_bars
-from .common import BENCHES, ExperimentResult, run_matrix_timed
+from ..sim.runner import resolve_sweep_configs
+from .common import BENCHES, ExperimentResult, run_matrix
 
 SYSTEMS = ("vb", "vp")
 
 
 def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
-    results, timing = run_matrix_timed(SYSTEMS, refs=refs, seed=seed)
+    results = run_matrix(resolve_sweep_configs(SYSTEMS), refs=refs, seed=seed)
     stacks = {key: stacked_miss_bars(r) for key, r in results.items()}
     data: Dict[Tuple[str, str], float] = {
         key: r.miss_ratio for key, r in results.items()
@@ -36,5 +37,4 @@ def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
         table,
         data,
         results,
-        timing=timing,
     )

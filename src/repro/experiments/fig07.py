@@ -19,7 +19,8 @@ from typing import Dict, Optional, Tuple
 
 from ..analysis.metrics import stacked_miss_bars
 from ..analysis.report import format_stacked_bars
-from .common import BENCHES, ExperimentResult, run_matrix_timed
+from ..sim.runner import resolve_sweep_configs
+from .common import BENCHES, ExperimentResult, run_matrix
 
 #: columns: family x PC fraction; fraction 0 = no page cache
 FAMILIES = ("p", "ncp", "vbp")
@@ -34,7 +35,7 @@ def _label(family: str, frac: int) -> str:
 
 def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
     systems = [_label(f, frac) for f in FAMILIES for frac in FRACTIONS]
-    results, timing = run_matrix_timed(systems, refs=refs, seed=seed)
+    results = run_matrix(resolve_sweep_configs(systems), refs=refs, seed=seed)
     stacks = {key: stacked_miss_bars(r) for key, r in results.items()}
     data: Dict[Tuple[str, str], float] = {
         key: r.miss_ratio + r.relocation_overhead_ratio
@@ -54,5 +55,4 @@ def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
         table,
         data,
         results,
-        timing=timing,
     )

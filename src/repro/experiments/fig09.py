@@ -22,15 +22,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..analysis.report import format_grid
-from .common import BENCHES, ExperimentResult, run_matrix_timed
+from ..sim.runner import resolve_sweep_configs
+from .common import BENCHES, ExperimentResult, bench_grid, run_matrix
 
 REFERENCE = "dinf"
 SYSTEMS = ("base", "ncs", "ncd", "ncp", "vbp", "vpp", "ncp5", "vbp5", "vpp5")
 
 
 def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
-    results, timing = run_matrix_timed((REFERENCE,) + SYSTEMS, refs=refs, seed=seed)
+    results = run_matrix(resolve_sweep_configs((REFERENCE,) + SYSTEMS),
+                         refs=refs, seed=seed)
     data: Dict[Tuple[str, str], float] = {}
     reloc_share: Dict[Tuple[str, str], float] = {}
     for bench in BENCHES:
@@ -43,19 +44,13 @@ def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
                 r.relocation_overhead_cycles / denom if denom else 0.0
             )
 
-    table = format_grid(
+    table = bench_grid(
         "Remote read stall, normalised to an infinite DRAM NC",
-        list(BENCHES),
-        list(SYSTEMS),
-        lambda b, s: data[(s, b)],
-        col_width=8,
+        SYSTEMS, data, col_width=8,
     )
-    table += "\n\n" + format_grid(
+    table += "\n\n" + bench_grid(
         "...of which page-relocation overhead (same normalisation)",
-        list(BENCHES),
-        list(SYSTEMS),
-        lambda b, s: reloc_share[(s, b)],
-        col_width=8,
+        SYSTEMS, reloc_share, col_width=8,
     )
     return ExperimentResult(
         "fig09",
@@ -63,5 +58,4 @@ def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
         table,
         data,
         results,
-        timing=timing,
     )

@@ -15,25 +15,23 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..analysis.report import format_grid
-from .common import BENCHES, ExperimentResult, run_matrix_timed
+from ..sim.runner import resolve_sweep_configs
+from .common import BENCHES, ExperimentResult, bench_grid, run_matrix
 from .fig09 import REFERENCE, SYSTEMS
 
 
 def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
-    results, timing = run_matrix_timed((REFERENCE,) + SYSTEMS, refs=refs, seed=seed)
+    results = run_matrix(resolve_sweep_configs((REFERENCE,) + SYSTEMS),
+                         refs=refs, seed=seed)
     data: Dict[Tuple[str, str], float] = {}
     for bench in BENCHES:
         ref = results[(REFERENCE, bench)]
         for system in SYSTEMS:
             data[(system, bench)] = results[(system, bench)].normalized_traffic(ref)
 
-    table = format_grid(
+    table = bench_grid(
         "Remote data traffic (blocks), normalised to an infinite NC",
-        list(BENCHES),
-        list(SYSTEMS),
-        lambda b, s: data[(s, b)],
-        col_width=8,
+        SYSTEMS, data, col_width=8,
     )
     return ExperimentResult(
         "fig10",
@@ -41,5 +39,4 @@ def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
         table,
         data,
         results,
-        timing=timing,
     )

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..analysis.report import format_grid
+from ..system.builder import system_config
 from .common import (
-    BENCHES,
     ExperimentResult,
     SCALED_THRESHOLD_32,
     SCALED_THRESHOLD_64,
-    merge_timings,
-    run_matrix_timed,
+    bench_grid,
+    run_matrix,
 )
 
 REFERENCE = "dinf"
@@ -33,47 +32,33 @@ COLUMNS = ("ncp5", "vxp5-t32", "vxp5-t64")
 
 
 def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
-    reference, t_ref = run_matrix_timed([REFERENCE], refs=refs, seed=seed)
-    ncp, t_ncp = run_matrix_timed(["ncp5"], refs=refs, seed=seed,
-                                  initial_threshold=SCALED_THRESHOLD_32)
-    vxp32, t_32 = run_matrix_timed(["vxp5"], refs=refs, seed=seed,
-                                   initial_threshold=SCALED_THRESHOLD_32)
-    vxp64, t_64 = run_matrix_timed(["vxp5"], refs=refs, seed=seed,
-                                   initial_threshold=SCALED_THRESHOLD_64)
-    timing = merge_timings(t_ref, t_ncp, t_32, t_64)
-
-    results = {}
+    matrix = run_matrix(
+        {
+            REFERENCE: system_config(REFERENCE),
+            "ncp5": system_config("ncp5", initial_threshold=SCALED_THRESHOLD_32),
+            "vxp5-t32": system_config("vxp5", initial_threshold=SCALED_THRESHOLD_32),
+            "vxp5-t64": system_config("vxp5", initial_threshold=SCALED_THRESHOLD_64),
+        },
+        refs=refs, seed=seed,
+    )
+    # the reference only normalises: the figure's results are its COLUMNS
+    results = {key: r for key, r in matrix.items() if key[0] != REFERENCE}
     data: Dict[Tuple[str, str], float] = {}
     reloc: Dict[Tuple[str, str], float] = {}
-    for bench in BENCHES:
-        ref = reference[(REFERENCE, bench)]
-        for label, run_map, key in (
-            ("ncp5", ncp, "ncp5"),
-            ("vxp5-t32", vxp32, "vxp5"),
-            ("vxp5-t64", vxp64, "vxp5"),
-        ):
-            r = run_map[(key, bench)]
-            results[(label, bench)] = r
-            data[(label, bench)] = r.normalized_stall(ref)
-            denom = ref.remote_read_stall
-            reloc[(label, bench)] = (
-                r.relocation_overhead_cycles / denom if denom else 0.0
-            )
+    for (label, bench), r in results.items():
+        ref = matrix[(REFERENCE, bench)]
+        data[(label, bench)] = r.normalized_stall(ref)
+        denom = ref.remote_read_stall
+        reloc[(label, bench)] = r.relocation_overhead_cycles / denom if denom else 0.0
 
-    table = format_grid(
+    table = bench_grid(
         "Remote read stall, normalised to an infinite DRAM NC "
         "(thresholds are the paper's 32/64 scaled)",
-        list(BENCHES),
-        list(COLUMNS),
-        lambda b, s: data[(s, b)],
-        col_width=10,
+        COLUMNS, data, col_width=10,
     )
-    table += "\n\n" + format_grid(
+    table += "\n\n" + bench_grid(
         "...of which page-relocation overhead",
-        list(BENCHES),
-        list(COLUMNS),
-        lambda b, s: reloc[(s, b)],
-        col_width=10,
+        COLUMNS, reloc, col_width=10,
     )
     return ExperimentResult(
         "fig11",
@@ -81,5 +66,4 @@ def run(refs: Optional[int] = None, seed: int = 1) -> ExperimentResult:
         table,
         data,
         results,
-        timing=timing,
     )

@@ -499,10 +499,11 @@ class ServiceApp:
             boards.append(snap)
             for field in totals:
                 totals[field] += int(snap.get(field, 0) or 0)
+        store = self.manager.store_stats()
         payload: Dict[str, object] = {
             "jobs": boards,
             "totals": totals,
-            "store": self.manager.store.stats(),
+            "store": store,
         }
         if query.get("format", [""])[0] == "json":
             return 200, payload, None
@@ -513,10 +514,7 @@ class ServiceApp:
             f"cells    {totals['done_cells']}/{totals['total_cells']} done, "
             f"{totals['cached_cells']} from the result store",
             f"refs     {totals['simulated_refs']:,} simulated",
-            "store    "
-            + ", ".join(
-                f"{k}={v}" for k, v in sorted(self.manager.store.stats().items())
-            ),
+            "store    " + ", ".join(f"{k}={v}" for k, v in sorted(store.items())),
         ]
         return 200, payload, "\n".join(lines) + "\n"
 

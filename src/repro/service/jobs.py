@@ -803,6 +803,21 @@ class JobManager:
         payload = read_json(self.job_dir(job_id) / "result.json")
         return payload if isinstance(payload, dict) else None
 
+    def store_stats(self) -> Dict[str, object]:
+        """The result store's tallies for ``GET /stats`` and ``GET /top``.
+
+        When the store feeds this manager's registry, each tally is the
+        registry total (persisted totals + this process), so the counts
+        survive restarts; otherwise it is the store's in-process tally.
+        """
+        stats = self.store.stats()
+        if getattr(self.store, "metrics", None) is self.metrics:
+            for tally in type(self.store)._TALLY_FIELDS:
+                stats[tally] = int(
+                    self.metrics.counter_total(f"repro_store_{tally}_total")
+                )
+        return stats
+
     def stats(self) -> Dict[str, object]:
         """Aggregate server statistics for ``GET /stats``.
 
@@ -815,13 +830,7 @@ class JobManager:
             for job in self._jobs.values():
                 by_state[job.state] = by_state.get(job.state, 0) + 1
             total = len(self._jobs)
-        store_stats = dict(self.store.stats(), entries=self.store.entry_count())
-        if getattr(self.store, "metrics", None) is self.metrics:
-            # registry-backed tallies = persisted totals + this process
-            for tally in type(self.store)._TALLY_FIELDS:
-                store_stats[tally] = int(
-                    self.metrics.counter_total(f"repro_store_{tally}_total")
-                )
+        store_stats = dict(self.store_stats(), entries=self.store.entry_count())
         return {
             "uptime_s": round(time.time() - self.started_unix, 3),
             "health": self.health(),

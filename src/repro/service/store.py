@@ -356,13 +356,13 @@ class ResultStore:
     def _quarantine(self, path: Path, exc: BaseException, note: Note) -> None:
         # an entry that can be neither renamed nor deleted stays and keeps
         # reporting misses: a broken store degrades to re-simulation
-        if quarantine(path) is None:
+        if quarantine(path):
+            self._note("quarantined")
+            note("result_quarantined", detail=f"{path.name}: {exc}")
+        else:
             self._note("quarantine_failed")
             note("result_quarantine_failed",
                  detail=f"{path.name}: could not quarantine or delete")
-        else:
-            self._note("quarantined")
-            note("result_quarantined", detail=f"{path.name}: {exc}")
 
     def _note(self, field: str, amount: int = 1) -> None:
         with self._lock:

@@ -248,6 +248,24 @@ class TestRestartPersistence:
         finally:
             mgr2.close()
 
+    def test_top_and_stats_agree_after_restart(self, tmp_path):
+        """``/top`` reports the persisted store totals, as ``/stats`` does."""
+        data_dir = tmp_path / "svc"
+        mgr = JobManager(data_dir=data_dir, job_workers=1)
+        mgr.start()
+        try:
+            self._run_job(mgr)
+        finally:
+            mgr.close()
+
+        with LiveServer(data_dir) as server:
+            _, stats = server.request("GET", "/stats")
+            _, top = server.request("GET", "/top?format=json")
+            _, text = server.request("GET", "/top")
+        assert stats["store"]["puts"] == 1
+        assert top["store"] == {key: stats["store"][key] for key in top["store"]}
+        assert "puts=1" in text
+
     def test_counters_survive_abandonment(self, tmp_path):
         """No clean close() — the SIGKILL shape of the chaos load test.
 

@@ -1,7 +1,8 @@
 """Tests for the deterministic fault-injection harness and the recovery
-paths it exercises: trace-cache integrity (digest, quarantine,
-regenerate), per-cell retries, worker-loss redispatch, and wall-clock
-timeouts."""
+paths it exercises: the fault-plan grammar and the service fault kinds,
+saved-trace integrity (a digest catches bit flips and truncation; saves
+are atomic), per-cell retries, worker-loss redispatch, wall-clock
+timeouts, and the recovery log's counters."""
 
 from __future__ import annotations
 

@@ -1,5 +1,8 @@
-"""Tests for the parallel sweep engine, the disk trace cache, the bounded
-in-process trace cache, and per-system sweep overrides."""
+"""Tests for the parallel sweep engine, trace round trips through
+``repro.trace.io`` (``TestDiskTraceCache``: identical counters from a
+saved and reloaded trace, distinct keys for distinct specs), the bounded
+in-process trace cache, per-system sweep overrides, and the throughput
+report."""
 
 from __future__ import annotations
 
